@@ -1,12 +1,12 @@
 // Performance microbenchmarks (google-benchmark): simulator event throughput
-// per policy, scaling in n and m, and the LP solver's cost.  These guard the
-// engine's O(events * n_alive) behaviour -- regressions here make the
-// experiment suite unusable at scale.
+// per policy and scaling in n and m.  These guard the engine's
+// O(events * n_alive) behaviour -- regressions here make the experiment
+// suite unusable at scale.  The LP solver's cost is gated by perf_gate
+// (bench/perf_cases.cpp) instead.
 #include <benchmark/benchmark.h>
 
 #include "analysis/dualfit.h"
 #include "core/engine.h"
-#include "lpsolve/flowtime_lp.h"
 #include "policies/registry.h"
 #include "workload/generators.h"
 #include "workload/source.h"
@@ -104,17 +104,6 @@ void BM_TracedWorkPerJob(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
-void BM_FlowtimeLp(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Instance inst = make_instance(n, 1, 11);
-  lpsolve::FlowtimeLpOptions opt;
-  opt.k = 2.0;
-  opt.slot = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lpsolve::solve_flowtime_lp(inst, opt));
-  }
-}
-
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_SimulatePolicy, rr_fast, "rr", true)
@@ -137,4 +126,3 @@ BENCHMARK(BM_PipelineSimDualfit)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TracedWorkPerJob)->Arg(2000)->Arg(20000);
-BENCHMARK(BM_FlowtimeLp)->Arg(30)->Arg(60)->Unit(benchmark::kMillisecond);

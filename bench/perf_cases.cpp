@@ -7,10 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "harness/sweep.h"
 #include "harness/thread_pool.h"
+#include "lpsolve/lower_bounds.h"
+#include "obs/obs.h"
 #include "policies/mlfq.h"
 #include "policies/priority_policies.h"
 #include "policies/round_robin.h"
@@ -308,6 +311,41 @@ Report run_fastpath_cases(const CaseOptions& options) {
         });
     c.stats["jobs"] = static_cast<double>(n_trace);
     c.stats["l2_norm_total"] = norms;
+    report.cases.push_back(std::move(c));
+  }
+
+  // --- OPT bracket with the LP: opt_bounds on a fixed T2 family -----------
+  // The Section 3.1 LP (min-cost flow), its exact dual certificate and the
+  // SRPT/SJF proxy runs, on standard_workloads' poisson-exp-0.9 family at
+  // k=2.  The library's own counters split the run between the min-cost
+  // flow and the certificate repair.
+  {
+    const std::size_t n_lp = smoke ? 20 : 50;
+    const std::vector<bench::NamedInstance> families =
+        bench::standard_workloads(n_lp, 1, kSeed);
+    const auto family = std::find_if(
+        families.begin(), families.end(), [](const bench::NamedInstance& f) {
+          return f.name == "poisson-exp-0.9";
+        });
+    lpsolve::OptBoundsOptions opt;
+    opt.k = 2.0;
+    obs::Sink counters;
+    lpsolve::OptBounds bounds;
+    CaseResult c = measure(
+        "opt_bounds_lp_" + std::to_string(n_lp) + suffix, repeats, [&] {
+          const obs::ScopedSink scope(&counters);
+          bounds = lpsolve::opt_bounds(family->instance, opt);
+        });
+    const auto per_solve = [&](const char* counter) {
+      return static_cast<double>(counters.value(counter)) /
+             static_cast<double>(counters.value("lpsolve.mcmf.calls"));
+    };
+    c.stats["jobs"] = static_cast<double>(n_lp);
+    c.stats["lp_lb"] = bounds.lp_lb;
+    c.stats["certified_lb"] = bounds.certified_lb;
+    c.stats["mcmf_s"] = 1e-9 * per_solve("lpsolve.mcmf.ns");
+    c.stats["certify_s"] = 1e-9 * per_solve("lpsolve.certify.ns");
+    c.stats["augmentations"] = per_solve("mcmf.augmentations");
     report.cases.push_back(std::move(c));
   }
 

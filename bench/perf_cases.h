@@ -6,7 +6,9 @@
 // generation, because "million jobs end to end without materializing the
 // instance" is exactly the claim being measured).  Event-loop/fast-path
 // pairs run on the identical instance so the derived
-// `speedup_vs_event_loop` stat is apples to apples.
+// `speedup_vs_event_loop` stat is apples to apples.  One case leaves the
+// engine: opt_bounds_lp_* times the OPT bracket with its LP lower bound on a
+// fixed T2 family, so the min-cost flow and the certificate are gated too.
 #pragma once
 
 #include <cstddef>

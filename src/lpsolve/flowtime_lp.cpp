@@ -86,12 +86,16 @@ constexpr unsigned kDualGridBits = 24;
 /// feasible by construction.  An independent exact pass re-checks every dual
 /// constraint before the objective is trusted.  Weak duality then makes the
 /// returned value a machine-checked lower bound on the LP optimum.  Any
-/// overflow poisons the result and yields certified = false.
+/// overflow poisons the result and yields certified = false.  `costs` holds
+/// c_jt for every job->slot edge in build order (job-major, slots
+/// ascending): the very doubles MCMF solved with, which each pass converts
+/// to Rational on its own.
 CertifiedBound certify_flowtime_dual(
     const std::vector<const Job*>& included, const Grid& g,
-    const FlowtimeLpOptions& options, const MinCostFlow& mcf,
-    std::size_t slot_node0, std::size_t sink_node,
+    const FlowtimeLpOptions& options, const std::vector<double>& costs,
+    const MinCostFlow& mcf, std::size_t slot_node0, std::size_t sink_node,
     const std::vector<std::size_t>& slot_edge_handles) {
+  const obs::ScopedTimer timer("lpsolve.certify");
   const double slot_cap = g.slot * options.machines;
   const std::vector<double>& phi = mcf.potentials();
 
@@ -112,13 +116,12 @@ CertifiedBound certify_flowtime_dual(
 
   // alpha_j = max(0, floor_grid(min_t (c_jt + beta_t))), computed exactly.
   std::vector<Rational> alpha(included.size());
+  std::size_t arc = 0;  // index into `costs`
   for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const Job& j = *included[ji];
-    const std::size_t first = g.first_slot_for(j.release);
+    const std::size_t first = g.first_slot_for(included[ji]->release);
     Rational best = Rational::invalid();
     for (std::size_t s = first; s < g.slots; ++s) {
-      const Rational cand =
-          Rational::from_double(unit_cost(j, g, s, options.k)) + beta[s];
+      const Rational cand = Rational::from_double(costs[arc++]) + beta[s];
       if (!cand.valid()) {
         ok = false;
         break;
@@ -136,10 +139,11 @@ CertifiedBound certify_flowtime_dual(
 
   // Independent exact feasibility re-check of every dual constraint, so the
   // certificate does not depend on the construction above being right.
+  arc = 0;
   for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const Job& j = *included[ji];
-    for (std::size_t s = g.first_slot_for(j.release); s < g.slots; ++s) {
-      const Rational c = Rational::from_double(unit_cost(j, g, s, options.k));
+    const std::size_t first = g.first_slot_for(included[ji]->release);
+    for (std::size_t s = first; s < g.slots; ++s) {
+      const Rational c = Rational::from_double(costs[arc++]);
       if (!(alpha[ji] - beta[s] <= c)) {  // fails closed on invalid
         ok = false;
         break;
@@ -207,6 +211,9 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
     slot_edge[s] = mcf.add_edge(kSlot0 + s, kSink, slot_cap, 0.0);
   }
   std::size_t edges = g.slots;
+  // Job->slot unit costs in build order (job-major, slots ascending), which
+  // the certificate pass walks in the same order.
+  std::vector<double> costs;
   for (const Job* jp : included) {
     const Job& j = *jp;
     mcf.add_edge(kSource, kJob0 + j.id, j.size, 0.0);
@@ -220,8 +227,9 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
       // final potentials, which would break the transportation-dual reading
       // (alpha_j - beta_t <= c_jt, tight on flow-carrying arcs) that
       // certify_flowtime_dual builds the exact certificate from.
+      costs.push_back(unit_cost(j, g, s, options.k));
       mcf.add_edge(kJob0 + j.id, kSlot0 + s, included_work + 1.0,
-                   unit_cost(j, g, s, options.k));
+                   costs.back());
       ++edges;
     }
   }
@@ -237,8 +245,8 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   out.slots = g.slots;
   out.edges = edges;
   out.skipped_jobs = n - included.size();
-  out.certificate = certify_flowtime_dual(included, g, options, mcf, kSlot0,
-                                          kSink, slot_edge);
+  out.certificate = certify_flowtime_dual(included, g, options, costs, mcf,
+                                          kSlot0, kSink, slot_edge);
   return out;
 }
 

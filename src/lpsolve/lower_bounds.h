@@ -42,7 +42,7 @@ struct OptBoundsOptions {
   /// bound and the proxy are always computed.
   bool with_lp = true;
   /// LP discretization width; 0 = auto (min(1, min_size), coarsened so the
-  /// grid stays under ~4000 slots).
+  /// grid stays at about 600 slots at most).
   double lp_slot = 0.0;
 };
 

@@ -2,38 +2,81 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/obs.h"
 
 namespace tempofair::lpsolve {
 
-MinCostFlow::MinCostFlow(std::size_t num_nodes) : graph_(num_nodes) {}
+MinCostFlow::MinCostFlow(std::size_t num_nodes) : num_nodes_(num_nodes) {
+  if (num_nodes > std::numeric_limits<Index>::max()) {
+    throw std::invalid_argument("MinCostFlow: too many nodes");
+  }
+}
 
 std::size_t MinCostFlow::add_edge(std::size_t u, std::size_t v, double cap,
                                   double cost) {
-  if (u >= graph_.size() || v >= graph_.size()) {
+  if (solved_) {
+    throw std::logic_error("MinCostFlow::add_edge: graph already solved");
+  }
+  if (u >= num_nodes_ || v >= num_nodes_) {
     throw std::invalid_argument("MinCostFlow::add_edge: node out of range");
   }
   if (cap < 0.0 || cost < 0.0 || !std::isfinite(cap) || !std::isfinite(cost)) {
     throw std::invalid_argument(
         "MinCostFlow::add_edge: capacity and cost must be finite and >= 0");
   }
-  graph_[u].push_back(Edge{v, graph_[v].size(), cap, cost, true});
-  graph_[v].push_back(Edge{u, graph_[u].size() - 1, 0.0, -cost, false});
-  handles_.emplace_back(u, graph_[u].size() - 1);
-  initial_cap_.push_back(cap);
+  if (edges_.size() >= std::numeric_limits<Index>::max() / 2) {
+    throw std::length_error("MinCostFlow::add_edge: too many edges");
+  }
+  edges_.push_back(
+      Edge{static_cast<Index>(u), static_cast<Index>(v), cap, cost});
   max_cost_ = std::max(max_cost_, cost);
-  return handles_.size() - 1;
+  return edges_.size() - 1;
 }
 
 MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
                                        double max_flow) {
-  if (s >= graph_.size() || t >= graph_.size() || s == t) {
+  if (s >= num_nodes_ || t >= num_nodes_ || s == t) {
     throw std::invalid_argument("MinCostFlow::solve: bad source/sink");
   }
-  const std::size_t n = graph_.size();
+  if (solved_) {
+    throw std::logic_error("MinCostFlow::solve: already solved");
+  }
+  solved_ = true;
+  const obs::ScopedTimer timer("lpsolve.mcmf");
+  const std::size_t n = num_nodes_;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  // CSR residual arcs: node v's arcs are arcs[first[v] .. first[v + 1]).
+  struct Arc {
+    double cap;  // residual capacity
+    double cost;
+    Index to;
+    Index rev;  // index of the reverse arc
+  };
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const Edge& e : edges_) {
+    ++first[e.tail + 1];
+    ++first[e.head + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<Arc> arcs(first[n]);
+  // Calls f(edge, forward arc, reverse arc) for every edge in handle order.
+  const auto for_each_edge = [&](auto&& f) {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (const Edge& e : edges_) {
+      const std::size_t fwd = next[e.tail]++;
+      f(e, fwd, next[e.head]++);
+    }
+  };
+  for_each_edge([&](const Edge& e, std::size_t fwd, std::size_t bwd) {
+    arcs[fwd] = Arc{e.cap, e.cost, e.head, static_cast<Index>(bwd)};
+    arcs[bwd] = Arc{0.0, -e.cost, e.tail, static_cast<Index>(fwd)};
+  });
 
   // Tolerances must scale with the cost magnitude: with costs spanning many
   // orders of magnitude (the flow-time LP's k-th-power costs do), fixed
@@ -44,15 +87,16 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
   potential_.assign(n, 0.0);  // costs are >= 0, so 0 is valid
   std::vector<double>& potential = potential_;
   std::vector<double> dist(n);
-  std::vector<std::size_t> prev_node(n), prev_edge(n);
+  std::vector<std::size_t> prev_arc(n);
   Result result;
 
   using QItem = std::pair<double, std::size_t>;  // (dist, node)
+  const std::greater<> heap_order;
+  std::vector<QItem> heap;  // min-heap, reused by every Dijkstra
 
-  std::size_t edge_count = 0;
-  for (const auto& adj : graph_) edge_count += adj.size();
-  const std::size_t max_augmentations = 100 * (edge_count + n) + 1000;
+  const std::size_t max_augmentations = 100 * (arcs.size() + n) + 1000;
   std::size_t augmentations = 0;
+  std::size_t settled = 0;
 
   while (result.flow < max_flow - kFlowEps) {
     if (++augmentations > max_augmentations) {
@@ -60,28 +104,33 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
           "MinCostFlow::solve: augmentation budget exhausted (numerically "
           "degenerate instance)");
     }
-    // Dijkstra on reduced costs.
+    // Dijkstra on reduced costs, stopped when the sink is popped: its
+    // distance and path are final then, and every node still unsettled has
+    // dist >= dist[t], which the capped update below turns into dist[t].
     std::fill(dist.begin(), dist.end(), kInf);
     dist[s] = 0.0;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-    pq.emplace(0.0, s);
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
+    heap.clear();
+    heap.emplace_back(0.0, s);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), heap_order);
+      const auto [d, u] = heap.back();
+      heap.pop_back();
       if (d > dist[u] + cost_eps) continue;
-      for (std::size_t ei = 0; ei < graph_[u].size(); ++ei) {
-        const Edge& e = graph_[u][ei];
-        if (e.cap <= kFlowEps) continue;
+      if (u == t) break;
+      ++settled;
+      for (std::size_t ai = first[u]; ai < first[u + 1]; ++ai) {
+        const Arc& a = arcs[ai];
+        if (a.cap <= kFlowEps) continue;
         // Clamp tiny negative reduced costs (float noise) to preserve
         // Dijkstra's monotonicity invariant.
         const double reduced =
-            std::max(e.cost + potential[u] - potential[e.to], 0.0);
+            std::max(a.cost + potential[u] - potential[a.to], 0.0);
         const double nd = d + reduced;
-        if (nd < dist[e.to] - cost_eps) {
-          dist[e.to] = nd;
-          prev_node[e.to] = u;
-          prev_edge[e.to] = ei;
-          pq.emplace(nd, e.to);
+        if (nd < dist[a.to] - cost_eps) {
+          dist[a.to] = nd;
+          prev_arc[a.to] = ai;
+          heap.emplace_back(nd, a.to);
+          std::push_heap(heap.begin(), heap.end(), heap_order);
         }
       }
     }
@@ -95,30 +144,37 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
       potential[v] += std::min(dist[v], dist[t]);
     }
 
-    // Bottleneck along the path.
+    // Bottleneck along the path (an arc's tail is its reverse arc's head).
     double push = max_flow - result.flow;
-    for (std::size_t v = t; v != s; v = prev_node[v]) {
-      push = std::min(push, graph_[prev_node[v]][prev_edge[v]].cap);
+    for (std::size_t v = t; v != s; v = arcs[arcs[prev_arc[v]].rev].to) {
+      push = std::min(push, arcs[prev_arc[v]].cap);
     }
     if (push <= kFlowEps) break;  // numerically exhausted
 
-    for (std::size_t v = t; v != s; v = prev_node[v]) {
-      Edge& e = graph_[prev_node[v]][prev_edge[v]];
-      e.cap -= push;
-      graph_[e.to][e.rev].cap += push;
-      result.cost += push * e.cost;
+    for (std::size_t v = t; v != s;) {
+      Arc& a = arcs[prev_arc[v]];
+      a.cap -= push;
+      arcs[a.rev].cap += push;
+      result.cost += push * a.cost;
+      v = arcs[a.rev].to;
     }
     result.flow += push;
   }
+
+  flow_.reserve(edges_.size());
+  for_each_edge([&](const Edge& e, std::size_t fwd, std::size_t) {
+    flow_.push_back(e.cap - arcs[fwd].cap);
+  });
+  obs::add("mcmf.augmentations", augmentations);
+  obs::add("mcmf.settled", settled);
   return result;
 }
 
 double MinCostFlow::flow_on(std::size_t handle) const {
-  if (handle >= handles_.size()) {
+  if (handle >= edges_.size()) {
     throw std::invalid_argument("MinCostFlow::flow_on: bad handle");
   }
-  const auto [u, idx] = handles_[handle];
-  return initial_cap_[handle] - graph_[u][idx].cap;
+  return flow_.empty() ? 0.0 : flow_[handle];  // empty until solve() ends
 }
 
 }  // namespace tempofair::lpsolve

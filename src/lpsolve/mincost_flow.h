@@ -6,9 +6,18 @@
 // treated as saturated).  This is the exact solver behind the discretized
 // flow-time LP of Section 3.1 -- a pure transportation problem, for which SSP
 // terminates after at most O(E) saturations per phase in practice.
+//
+// Layout: add_edge() only appends (tail, head, cap, cost) to one flat edge
+// list.  solve() lays the edges out once as CSR residual arcs -- for every
+// edge, in add_edge order, a forward arc at the tail and a reverse arc at the
+// head -- so each node's arcs, and hence Dijkstra's tie-breaks, follow the
+// order the edges were added in.  Each Dijkstra stops as soon as it pops the
+// sink: the potential update caps every distance at dist[t], so nodes it
+// never settled get exactly the value a full Dijkstra would give them.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace tempofair::lpsolve {
@@ -21,7 +30,8 @@ class MinCostFlow {
 
   /// Adds a directed edge u -> v; returns its handle for flow queries.
   /// Requires cap >= 0 and cost >= 0 (SSP with potentials needs nonnegative
-  /// reduced costs; our LPs have nonnegative costs natively).
+  /// reduced costs; our LPs have nonnegative costs natively).  Throws
+  /// std::logic_error after solve().
   std::size_t add_edge(std::size_t u, std::size_t v, double cap, double cost);
 
   struct Result {
@@ -30,36 +40,43 @@ class MinCostFlow {
   };
 
   /// Sends up to `max_flow` units from s to t along successive shortest
-  /// paths; returns achieved flow and its total cost.
+  /// paths; returns achieved flow and its total cost.  One-shot: a second
+  /// call throws std::logic_error.
   Result solve(std::size_t s, std::size_t t, double max_flow);
 
-  /// Flow currently on edge `handle` (after solve()).
+  /// Flow on edge `handle` (0 before solve()).
   [[nodiscard]] double flow_on(std::size_t handle) const;
 
-  /// Johnson potentials after solve(): potentials()[v] is the shortest-path
-  /// distance from the source to v in the final residual network.  These are
-  /// (approximate) optimal duals of the underlying transportation LP, which
-  /// the flow-time certificate pass repairs into an exactly-feasible dual.
+  /// Johnson potentials after solve(): the sum over augmentations of the
+  /// capped distances min(dist[v], dist[t]) in the residual network, so a
+  /// node the early-exit Dijkstra never settled gains dist[t].  The cap keeps
+  /// every residual arc's reduced cost nonnegative (up to the solver's cost
+  /// tolerance), which makes these (approximate) optimal duals of the
+  /// underlying transportation LP; the flow-time certificate pass repairs
+  /// them into an exactly-feasible dual.
   [[nodiscard]] const std::vector<double>& potentials() const noexcept {
     return potential_;
   }
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return graph_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
 
  private:
+  // 32-bit node and arc indices keep edges and arcs at 24 bytes each.
+  using Index = std::uint32_t;
+
   struct Edge {
-    std::size_t to;
-    std::size_t rev;  // index of reverse edge in graph_[to]
-    double cap;       // residual capacity
+    Index tail;
+    Index head;
+    double cap;
     double cost;
-    bool original;    // true for user-added edges
   };
 
-  std::vector<std::vector<Edge>> graph_;
-  std::vector<std::pair<std::size_t, std::size_t>> handles_;  // (node, idx)
-  std::vector<double> initial_cap_;                           // per handle
-  std::vector<double> potential_;                             // after solve()
+  std::size_t num_nodes_;
+  std::vector<Edge> edges_;        // in add_edge order; handle = index
+  std::vector<double> flow_;       // per handle, filled by solve()
+  std::vector<double> potential_;  // after solve()
   double max_cost_ = 0.0;
+  bool solved_ = false;
 };
 
 }  // namespace tempofair::lpsolve

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "common.h"
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "policies/round_robin.h"
@@ -132,6 +135,53 @@ TEST(OptBounds, SingleJobExactness) {
   const OptBounds b = opt_bounds(inst, opt);
   EXPECT_DOUBLE_EQ(b.trivial_lb, 16.0);
   EXPECT_DOUBLE_EQ(b.proxy_ub, 16.0);  // SRPT achieves it
+}
+
+TEST(OptBounds, GoldenBoundsOnStandardWorkloads) {
+  // lp_lb and certified_lb pinned bit for bit on standard_workloads(50, m, 1)
+  // cells, as recorded before the min-cost flow moved to CSR arcs with an
+  // early-exit Dijkstra.  Any change to MCMF's arithmetic or tie-breaks, or
+  // to the certificate repair, moves at least one of these.
+  struct Golden {
+    int machines;
+    double k;
+    const char* family;
+    double lp_lb;
+    double certified_lb;
+  };
+  const Golden cells[] = {
+      {1, 1.0, "poisson-exp-0.9", 0x1.004ccb02232ep+6, 0x1.0e2d9834p+6},
+      {1, 1.0, "poisson-pareto-0.9", 0x1.dadd64efe8ceep+5, 0x1.dadd6450baf0ep+5},
+      {1, 2.0, "poisson-exp-0.9", 0x1.382d57a3f989dp+8, 0x1.382d5784cda87p+8},
+      {1, 2.0, "poisson-pareto-0.9", 0x1.b2a30c47c00dfp+8, 0x1.b2a30c31e4157p+8},
+      {1, 3.0, "poisson-exp-0.9", 0x1.ec38cc1f5ed83p+10, 0x1.ec38cc182e6b5p+10},
+      {1, 3.0, "poisson-pareto-0.9", 0x1.133cda63dac1dp+12, 0x1.133cda6261802p+12},
+      {2, 1.0, "poisson-exp-0.9", 0x1.85921a0273e9dp+5, 0x1.0e2d9834p+6},
+      {2, 1.0, "poisson-pareto-0.9", 0x1.4ede8584a22c9p+5, 0x1.ce5ff128p+5},
+      {2, 2.0, "poisson-exp-0.9", 0x1.36ba14ff0b1eep+7, 0x1.9a85ecefb04fep+7},
+      {2, 2.0, "poisson-pareto-0.9", 0x1.27639df1fcaa1p+7, 0x1.27639dd155057p+7},
+      {2, 3.0, "poisson-exp-0.9", 0x1.46ee3f385c3bcp+9, 0x1.d00f11105fecdp+9},
+      {2, 3.0, "poisson-pareto-0.9", 0x1.74e5527d24b06p+9, 0x1.74e552736eccep+9},
+  };
+  for (const int m : {1, 2}) {
+    const std::vector<bench::NamedInstance> families =
+        bench::standard_workloads(50, m, 1);
+    for (const Golden& cell : cells) {
+      if (cell.machines != m) continue;
+      const auto it = std::find_if(
+          families.begin(), families.end(),
+          [&](const bench::NamedInstance& f) { return f.name == cell.family; });
+      ASSERT_NE(it, families.end()) << cell.family;
+      OptBoundsOptions opt;
+      opt.k = cell.k;
+      opt.machines = m;
+      const OptBounds b = opt_bounds(it->instance, opt);
+      EXPECT_EQ(b.lp_lb, cell.lp_lb)
+          << cell.family << " m=" << m << " k=" << cell.k;
+      EXPECT_EQ(b.certified_lb, cell.certified_lb)
+          << cell.family << " m=" << m << " k=" << cell.k;
+    }
+  }
 }
 
 }  // namespace
