@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/engine.h"
 #include "core/metrics.h"
@@ -132,6 +133,12 @@ struct OracleCase {
   double (*oracle)(const Mg1&);
   double tolerance;  // relative
 };
+
+// Without this, gtest names the parameter by its raw bytes, which include
+// ASLR-randomised pointers, so the test's listed name changed on every build.
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << c.policy << " tol=" << c.tolerance;
+}
 
 double ps_oracle(const Mg1& q) { return q.mean_response_ps(); }
 double fcfs_oracle(const Mg1& q) { return q.mean_response_fcfs(); }
