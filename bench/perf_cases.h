@@ -8,7 +8,9 @@
 // pairs run on the identical instance so the derived
 // `speedup_vs_event_loop` stat is apples to apples.  One case leaves the
 // engine: opt_bounds_lp_* times the OPT bracket with its LP lower bound on a
-// fixed T2 family, so the min-cost flow and the certificate are gated too.
+// fixed T2 family, so the min-cost flow and the certificate are gated too,
+// and certify_dense_lp_* times the dense simplex plus the exact re-solve
+// that certifies the adversary search's denominator.
 #pragma once
 
 #include <cstddef>

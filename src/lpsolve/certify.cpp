@@ -19,9 +19,12 @@ struct ExactTableau {
   std::vector<std::size_t> basis;
   bool overflow = false;
 
+  // Entries where the pivot row holds an exact 0 are skipped: an operation
+  // on an exact 0 can neither change a value nor overflow.
   void pivot(std::size_t r, std::size_t c) {
     const Rational p = a[r][c];
     for (std::size_t j = 0; j < cols; ++j) {
+      if (a[r][j].is_zero()) continue;
       a[r][j] = a[r][j] / p;
       if (!a[r][j].valid()) overflow = true;
     }
@@ -32,6 +35,7 @@ struct ExactTableau {
       const Rational f = a[i][c];
       if (f.is_zero()) continue;
       for (std::size_t j = 0; j < cols; ++j) {
+        if (a[r][j].is_zero()) continue;
         a[i][j] = a[i][j] - f * a[r][j];
         if (!a[i][j].valid()) overflow = true;
       }
@@ -65,7 +69,9 @@ SolveStatus run_exact_simplex(ExactTableau& t, const std::vector<Rational>& c,
       if (!allowed[j]) continue;
       Rational z = c[j];
       for (std::size_t i = 0; i < t.rows; ++i) {
-        if (!c[t.basis[i]].is_zero()) z -= c[t.basis[i]] * t.a[i][j];
+        if (!c[t.basis[i]].is_zero() && !t.a[i][j].is_zero()) {
+          z -= c[t.basis[i]] * t.a[i][j];
+        }
       }
       if (!z.valid()) {
         t.overflow = true;
@@ -140,38 +146,33 @@ ExactTableau fresh_tableau(const ExactData& d) {
   return t;
 }
 
-/// Replays the float basis on a fresh exact tableau.  Returns false when the
-/// basis turns out exactly singular or exactly primal-infeasible (then the
-/// caller falls back to the full two-phase exact solve).
+/// Replays the float basis on a fresh exact tableau.  Each basis column is
+/// pivoted into the first row that still holds a non-target column and has a
+/// nonzero entry in it: B^{-1} depends on the basis set, not on which row
+/// holds which column.  Returns false on a malformed basis (out-of-range or
+/// duplicate column) or when it turns out exactly singular or exactly
+/// primal-infeasible; the caller then falls back to the full two-phase
+/// exact solve.
 bool warm_start(ExactTableau& t, const std::vector<std::size_t>& target) {
   if (target.size() != t.rows) return false;
+  std::vector<bool> in_target(t.cols, false);
   for (const std::size_t col : target) {
-    if (col >= t.cols) return false;
+    if (col >= t.cols || in_target[col]) return false;
+    in_target[col] = true;
   }
-  std::vector<bool> done(t.rows, false);
-  std::size_t remaining = t.rows;
-  bool progress = true;
-  while (remaining > 0 && progress) {
-    progress = false;
-    for (std::size_t i = 0; i < t.rows; ++i) {
-      if (done[i] || t.basis[i] == target[i]) {
-        if (!done[i] && t.basis[i] == target[i]) {
-          done[i] = true;
-          --remaining;
-          progress = true;
-        }
-        continue;
-      }
-      if (!t.a[i][target[i]].is_zero()) {
-        t.pivot(i, target[i]);
-        if (t.overflow) return false;
-        done[i] = true;
-        --remaining;
-        progress = true;
-      }
+  for (const std::size_t col : target) {
+    if (std::find(t.basis.begin(), t.basis.end(), col) != t.basis.end()) {
+      continue;  // already basic (an artificial the float basis kept)
     }
+    std::size_t row = 0;
+    while (row < t.rows &&
+           (in_target[t.basis[row]] || t.a[row][col].is_zero())) {
+      ++row;
+    }
+    if (row == t.rows) return false;  // exactly singular
+    t.pivot(row, col);
+    if (t.overflow) return false;
   }
-  if (remaining > 0) return false;
   for (const Rational& bi : t.b) {
     if (bi.is_negative()) return false;  // exactly primal-infeasible basis
   }
@@ -254,10 +255,8 @@ bool verify_optimal_pair(const ExactData& d, const ExactTableau& t,
   return primal_obj.valid() && dual_obj.valid() && primal_obj == dual_obj;
 }
 
-}  // namespace
-
-CertifyResult solve_lp_exact(const LinearProgram& lp, const LpSolution* warm,
-                             const CertifyOptions& options) {
+CertifyResult exact_solve(const LinearProgram& lp, const LpSolution* warm,
+                          const CertifyOptions& options) {
   CertifyResult out;
   out.exact_objective = Rational::invalid();
   const ExactData d = build_exact(lp);
@@ -340,6 +339,17 @@ CertifyResult solve_lp_exact(const LinearProgram& lp, const LpSolution* warm,
     // Un-apply the rhs sign normalization: dual of the original row.
     out.duals[i] = d.sf.row_sign[i] * y[i].to_double();
   }
+  return out;
+}
+
+}  // namespace
+
+CertifyResult solve_lp_exact(const LinearProgram& lp, const LpSolution* warm,
+                             const CertifyOptions& options) {
+  const obs::ScopedTimer timer("lpsolve.exact");
+  CertifyResult out = exact_solve(lp, warm, options);
+  obs::add(out.warm_start_used ? "lpcert.warm_start" : "lpcert.cold_solve", 1);
+  obs::add("lpcert.exact_pivots", out.pivots);
   return out;
 }
 

@@ -9,9 +9,13 @@
 // 128-bit rational arithmetic:
 //
 //   * solve_lp_exact() replays the LP in exact arithmetic with Bland's rule,
-//     warm-started from the float basis (one or two cleanup pivots in the
-//     common case; full two-phase fallback when the float basis is exactly
-//     infeasible or singular);
+//     warm-started from the float basis.  Each basis column is pivoted into
+//     the first row that still holds a non-basis column and has a nonzero
+//     entry in it (B^{-1} depends on the basis set, not on which row holds
+//     which column), so every nonsingular float basis installs.  The full
+//     two-phase solve is the fallback only for a malformed basis (an
+//     out-of-range or repeated column) or one that is exactly singular or
+//     exactly infeasible;
 //   * the optimal exact basis yields duals y with y.b == c.x exactly, and an
 //     independent pass re-verifies primal feasibility (A x {<=,>=,=} b,
 //     x >= 0) and dual feasibility (c_j - y.A_j >= 0, row-sign constraints)
@@ -19,8 +23,9 @@
 //   * the certified value is y.b rounded *down* to a double, so the number
 //     callers consume is guaranteed <= the true LP optimum.
 //
-// Any 128-bit overflow poisons the computation and yields certified = false
-// (never a wrong bound).  All statuses are exact: kInfeasible means the
+// Pivots and reduced-cost scans skip exact-zero tableau entries, which can
+// neither change a value nor overflow.  Any 128-bit overflow poisons the
+// computation and yields certified = false (never a wrong bound).  All statuses are exact: kInfeasible means the
 // exact phase-1 optimum is nonzero, kUnbounded means an exact ray exists.
 #pragma once
 
@@ -57,12 +62,15 @@ struct CertifyResult {
   std::vector<double> duals;
   bool warm_start_used = false;  ///< float basis reproduced without fallback
   bool overflow = false;         ///< 128-bit arithmetic overflowed
-  std::size_t pivots = 0;        ///< exact pivots performed
+  std::size_t pivots = 0;        ///< exact simplex pivots (not the install)
 };
 
 /// Solves `lp` in exact rational arithmetic.  When `warm` carries an optimal
 /// float solution, its final basis seeds the exact solve.  Throws
-/// std::invalid_argument on dimension mismatches.
+/// std::invalid_argument on dimension mismatches.  Timed as obs span
+/// "lpsolve.exact"; counts "lpcert.warm_start" or "lpcert.cold_solve" (did
+/// the solve reuse the float basis) and adds `pivots` to
+/// "lpcert.exact_pivots".
 [[nodiscard]] CertifyResult solve_lp_exact(const LinearProgram& lp,
                                            const LpSolution* warm = nullptr,
                                            const CertifyOptions& options = {});

@@ -167,6 +167,7 @@ StandardForm standardize(const LinearProgram& lp) {
 }
 
 LpSolution solve_lp(const LinearProgram& lp, std::size_t max_iters) {
+  const obs::ScopedTimer timer("lpsolve.simplex");
   const StandardForm sf = standardize(lp);
   const std::size_t n = sf.n;
   const std::size_t m = sf.rows;

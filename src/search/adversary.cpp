@@ -24,9 +24,11 @@ namespace {
 
 /// Slot cap for the search's certification grid: coarser than opt_bounds'
 /// (600) because every record is certified through the *dense* simplex plus
-/// verify_certificate's exact re-solve, whose tableaus scale with
-/// jobs x slots.  Coarsening only loosens the bound (ratios get a slightly
-/// smaller denominator), never invalidates it.
+/// verify_certificate's exact re-solve, whose tableaus hold
+/// rows x (jobs x slots + slacks + artificials) Rationals.  The cap is kept
+/// for memory, not time: at 600 slots x 12 jobs that tableau is about
+/// 612 x 8.4k Rationals, roughly 250 MB.  Coarsening only loosens the bound
+/// (ratios get a slightly smaller denominator), never invalidates it.
 constexpr double kSearchMaxSlots = 96.0;
 
 /// Hard cap on dense-LP variables; above it the denominator falls back to

@@ -95,8 +95,8 @@ struct VerifyReport {
 };
 
 /// The deterministic LP slot width the search certifies with: fine enough
-/// for a meaningful bound, coarse enough that the dense simplex plus the
-/// exact re-solve stay cheap.  Recorded per record so re-verification
+/// for a meaningful bound, coarse enough that the dense exact tableau stays
+/// small in memory.  Recorded per record so re-verification
 /// rebuilds the identical grid.
 [[nodiscard]] double pick_lp_slot(const Instance& instance, int machines);
 

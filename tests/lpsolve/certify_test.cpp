@@ -1,6 +1,7 @@
 #include "lpsolve/certify.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,47 @@ TEST(Certify, WarmStartFromFloatBasis) {
   ASSERT_EQ(r.exact_status, SolveStatus::kOptimal);
   EXPECT_TRUE(r.warm_start_used);
   EXPECT_EQ(r.exact_objective, Rational::from_int(8));
+}
+
+TEST(Certify, WarmStartInstallsBasisOutOfRowOrder) {
+  // Case 613 of lp_fuzz's default seed.  The float basis {5, 4, 3, 1} is
+  // nonsingular and feasible, but its first column is row 2's slack, an
+  // exact 0 in row 0: an installer that pins basis[i] to row i stalls.
+  LinearProgram lp;
+  lp.objective = {0.5, -3.5, 3.5};
+  lp.rows.push_back({{3.5, 2.5, -2.5}, Rel::kGe, 2.5});
+  lp.rows.push_back({{1.0, -3.0, -2.5}, Rel::kLe, 1.5});
+  lp.rows.push_back({{1.5, 0.5, 4.0}, Rel::kLe, 3.0});
+  lp.rows.push_back({{2.5, 2.5, 2.5}, Rel::kLe, 4.0});
+  const LpSolution fl = solve_lp(lp);
+  ASSERT_EQ(fl.status, SolveStatus::kOptimal);
+  ASSERT_EQ(fl.basis, (std::vector<std::size_t>{5, 4, 3, 1}));
+  const CertifyResult r = solve_lp_exact(lp, &fl);
+  ASSERT_EQ(r.exact_status, SolveStatus::kOptimal);
+  EXPECT_TRUE(r.warm_start_used);
+  const CertifyResult cold = solve_lp_exact(lp);
+  ASSERT_EQ(cold.exact_status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.exact_objective, cold.exact_objective);
+  EXPECT_EQ(r.exact_objective, Rational::from_ratio(-28, 5));
+}
+
+TEST(Certify, DuplicateBasisColumnFallsBackToColdSolve) {
+  // min x s.t. x >= 1, x <= 1, with a basis that lists x twice.  Installing
+  // x once would leave row 1's artificial basic at exactly 0, a state the
+  // warm path otherwise accepts; the duplicate must send it to the cold
+  // solve instead.
+  LinearProgram lp;
+  lp.objective = {1.0};
+  lp.rows.push_back({{1.0}, Rel::kGe, 1.0});
+  lp.rows.push_back({{1.0}, Rel::kLe, 1.0});
+  LpSolution fl = solve_lp(lp);
+  ASSERT_EQ(fl.status, SolveStatus::kOptimal);
+  fl.basis = {0, 0};
+  const CertifyResult r = solve_lp_exact(lp, &fl);
+  ASSERT_EQ(r.exact_status, SolveStatus::kOptimal);
+  EXPECT_FALSE(r.warm_start_used);
+  EXPECT_EQ(r.exact_objective, Rational::from_int(1));
+  EXPECT_TRUE(r.bound.certified);
 }
 
 TEST(Certify, VerifyCertificateOnOptimalSolution) {

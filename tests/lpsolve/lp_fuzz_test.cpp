@@ -7,7 +7,7 @@ namespace {
 
 TEST(LpFuzz, NoDisagreementsOnDefaultSeed) {
   LpFuzzOptions opt;
-  opt.count = 300;
+  opt.count = 1000;
   const LpFuzzReport rep = run_lp_fuzz(opt);
   EXPECT_TRUE(rep.ok());
   for (const auto& d : rep.disagreements) {
@@ -17,6 +17,9 @@ TEST(LpFuzz, NoDisagreementsOnDefaultSeed) {
   EXPECT_GT(rep.optimal, 0u);
   EXPECT_GT(rep.certified, 0u);
   EXPECT_GT(rep.flow_cases, 0u);
+  // Every float basis that certifies is installed exactly, with no cold
+  // two-phase fallback.
+  EXPECT_EQ(rep.warm_starts, rep.certified);
 }
 
 TEST(LpFuzz, DeterministicForFixedSeed) {
