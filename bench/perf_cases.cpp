@@ -299,6 +299,25 @@ Report run_fastpath_cases(const CaseOptions& options) {
     report.cases.push_back(std::move(c));
   }
 
+  // --- flow_stats on the streamed RR run's flows ----------------------------
+  // The metrics half of every run: finish_run's flow_stats (sums, l2/l3
+  // norms and the selected p50/p95/p99) over the schedule of the stream
+  // case's spec, simulated once outside the timed body.
+  {
+    const auto source = workload::make_source(workload::WorkloadSpec::poisson(
+        n_stream, 0.9, workload::ExponentialSize{1.5}, kSeed + 2));
+    const std::unique_ptr<JobStream> stream = source->stream();
+    RunRequest req;
+    req.record_trace = false;
+    const Schedule schedule = tempofair::run(*stream, req).schedule;
+    FlowStats stats;
+    CaseResult c = measure("flow_stats_" + std::to_string(n_stream) + suffix,
+                           repeats, [&] { stats = flow_stats(schedule); });
+    c.stats["jobs"] = static_cast<double>(stats.n);
+    c.stats["p99"] = stats.p99;
+    report.cases.push_back(std::move(c));
+  }
+
   // --- RR fast path with the trace arena + an l2 read-back ------------------
   // Covers the uniform-rate compressed trace rows and the analysis side of
   // the pipeline, which the trace-off cases above skip entirely.

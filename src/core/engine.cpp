@@ -36,7 +36,10 @@ void check_cancel(const EngineOptions& options, std::string_view policy_name,
 [[nodiscard]] RunResult finish_run(Schedule schedule, std::string_view policy,
                                    double wall_seconds) {
   RunResult result;
-  result.stats = flow_stats(schedule);
+  {
+    const obs::ScopedTimer timer("metrics.flow_stats");
+    result.stats = flow_stats(schedule);
+  }
   result.schedule = std::move(schedule);
   result.policy = std::string(policy);
   result.wall_seconds = wall_seconds;

@@ -9,14 +9,76 @@ namespace tempofair {
 
 namespace {
 
-/// Interpolated percentile over an already-sorted, non-empty vector; the one
-/// definition shared by the free percentile() and LiveMetrics' cached path.
-double percentile_sorted(std::span<const double> sorted, double p) {
-  const double pos = (p / 100.0) * static_cast<double>(sorted.size() - 1);
+/// Where the p-th percentile of n > 0 values sits: between the lo-th and
+/// hi-th order statistics (hi == lo when the position is an integer), with
+/// weight frac on the upper one.
+struct PercentileRank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+PercentileRank percentile_rank(std::size_t n, double p) {
+  const double pos = (p / 100.0) * static_cast<double>(n - 1);
   const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
   const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return {lo, hi, pos - static_cast<double>(lo)};
+}
+
+/// The one interpolation formula behind every percentile this file returns.
+double interpolate(double v_lo, double v_hi, double frac) {
+  return v_lo * (1.0 - frac) + v_hi * frac;
+}
+
+/// Interpolated percentile over an already-sorted, non-empty vector
+/// (LiveMetrics' cached path, which serves repeated queries).
+double percentile_sorted(std::span<const double> sorted, double p) {
+  const PercentileRank r = percentile_rank(sorted.size(), p);
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
+}
+
+/// Interpolated percentile of a non-empty span by selection instead of a
+/// sort.  nth_element puts the lo-th order statistic at `lo` with nothing
+/// smaller after it, so the hi-th one is the least value after `lo`: the
+/// same two order statistics a sorted copy holds, hence the same bits.
+/// [0, from) must already hold the `from` smallest values, as an earlier
+/// call for a lower p leaves them; `from` is advanced to lo.
+double percentile_select(std::span<double> values, std::size_t& from,
+                         double p) {
+  const PercentileRank r = percentile_rank(values.size(), p);
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from), lo,
+                   values.end());
+  from = r.lo;
+  const double v_hi =
+      r.hi == r.lo ? *lo : *std::min_element(lo + 1, values.end());
+  return interpolate(*lo, v_hi, r.frac);
+}
+
+/// flow_stats over `flows`, which it reorders: the sums and norms read the
+/// values in their given order first, then p50/p95/p99 are selected in
+/// place.
+FlowStats flow_stats_in_place(std::span<double> flows) {
+  FlowStats s;
+  s.n = flows.size();
+  if (flows.empty()) return s;
+  double sum = 0.0, sq = 0.0;
+  for (double f : flows) {
+    sum += f;
+    sq += f * f;
+  }
+  s.l1 = sum;
+  s.l2 = lk_norm(flows, 2.0);
+  s.l3 = lk_norm(flows, 3.0);
+  s.linf = linf_norm(flows);
+  s.mean = sum / static_cast<double>(s.n);
+  s.variance = std::max(0.0, sq / static_cast<double>(s.n) - s.mean * s.mean);
+  s.stddev = std::sqrt(s.variance);
+  std::size_t from = 0;
+  s.p50 = percentile_select(flows, from, 50.0);
+  s.p95 = percentile_select(flows, from, 95.0);
+  s.p99 = percentile_select(flows, from, 99.0);
+  return s;
 }
 
 }  // namespace
@@ -62,40 +124,19 @@ double linf_norm(std::span<const double> values) {
 double percentile(std::span<const double> values, double p) {
   if (values.empty()) return 0.0;
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p outside [0,100]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
+  std::vector<double> scratch(values.begin(), values.end());
+  std::size_t from = 0;
+  return percentile_select(scratch, from, p);
 }
 
 FlowStats flow_stats(std::span<const double> flows) {
-  FlowStats s;
-  s.n = flows.size();
-  if (flows.empty()) return s;
-  double sum = 0.0, sq = 0.0;
-  for (double f : flows) {
-    sum += f;
-    sq += f * f;
-  }
-  s.l1 = sum;
-  s.l2 = lk_norm(flows, 2.0);
-  s.l3 = lk_norm(flows, 3.0);
-  s.linf = linf_norm(flows);
-  s.mean = sum / static_cast<double>(s.n);
-  s.variance = std::max(0.0, sq / static_cast<double>(s.n) - s.mean * s.mean);
-  s.stddev = std::sqrt(s.variance);
-  // One copy + one sort serves all three percentiles (sorting per
-  // percentile dominated the whole fast-path run on 100k-job instances).
-  std::vector<double> sorted(flows.begin(), flows.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = percentile_sorted(sorted, 50.0);
-  s.p95 = percentile_sorted(sorted, 95.0);
-  s.p99 = percentile_sorted(sorted, 99.0);
-  return s;
+  std::vector<double> scratch(flows.begin(), flows.end());
+  return flow_stats_in_place(scratch);
 }
 
 FlowStats flow_stats(const Schedule& schedule) {
-  const std::vector<Time> flows = schedule.flows();
-  return flow_stats(flows);
+  std::vector<Time> flows = schedule.flows();
+  return flow_stats_in_place(flows);
 }
 
 // The Schedule overloads below recompute F_j = C_j - r_j from the schedule's
@@ -234,7 +275,10 @@ std::size_t LiveMetrics::expected() const {
   return expected_;
 }
 
-FlowStats LiveMetrics::snapshot() const { return flow_stats(flows()); }
+FlowStats LiveMetrics::snapshot() const {
+  std::vector<double> copy = flows();
+  return flow_stats_in_place(copy);
+}
 
 double LiveMetrics::lk(double k) const { return lk_norm(flows(), k); }
 

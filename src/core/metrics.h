@@ -45,7 +45,8 @@ struct FlowStats {
   double p99 = 0.0;
 };
 
-/// Summary statistics of a flow-time vector.
+/// Summary statistics of a flow-time vector.  The percentiles are selected
+/// (nth_element), not sorted for, and equal percentile() bit for bit.
 [[nodiscard]] FlowStats flow_stats(std::span<const double> flows);
 
 /// Incremental flow-time metrics over a run still in flight.

@@ -3,19 +3,21 @@
 //
 // SETF, LAPS, and MLFQ allocate rates by a pure function of the alive jobs'
 // (attained, release) columns and the run constants -- no state survives
-// between queries.  To make the fast path bitwise-equal to the event loop,
-// the one rule body lives here as a template over column accessors: the
-// policy's rates() instantiates it over the id-sorted AliveJob views, the
-// kernel over its id-sorted SoA columns, and both therefore execute the
-// exact same floating-point operations in the same order.  Tie-breaks by
-// job id reduce to index comparisons because both callers index in
-// ascending-id order.
+// between queries (a scratch holds buffers and, for MLFQ, a table computed
+// from the run constants).  To make the fast path bitwise-equal to the
+// event loop, the one rule body lives here as a template over column
+// accessors: the policy's rates() instantiates it over the id-sorted
+// AliveJob views, the kernel over its id-sorted SoA columns, and both
+// therefore execute the exact same floating-point operations in the same
+// order.  Tie-breaks by job id reduce to index comparisons because both
+// callers index in ascending-id order.
 //
 // Editing a formula here changes both paths at once -- which is the point.
 // Never fork a copy into a policy or the kernel.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
@@ -109,15 +111,34 @@ template <typename AttainedAt>
 
 /// LAPS(beta) (policies/priority_policies.h): the ceil(beta*n)
 /// latest-arriving jobs split the machines equally, capped at one machine
-/// each.  `release(i)` reads job i's release time over the id-sorted alive
-/// set.  Fills `rates` (id order); LAPS is event-driven only, so there is
-/// no breakpoint to return.
+/// each; release ties go to the larger id.  `release(i)` reads job i's
+/// release time over the id-sorted alive set.  Fills `rates` (id order);
+/// LAPS is event-driven only, so there is no breakpoint to return.
+///
+/// When ids follow arrival order -- every generator, stream and trace
+/// assigns them so -- the releases are nondecreasing in index, and the
+/// top ceil(beta*n) under (release desc, index desc) are exactly the last
+/// indices: one O(n) check replaces the partial sort.  Other instances
+/// (Instance::from_pairs makes no such promise) take the partial sort.
 template <typename ReleaseAt>
 void laps_rates(std::size_t n, int machines, double speed, double beta,
                 const ReleaseAt& release, std::vector<double>& rates,
                 std::vector<std::size_t>& idx) {
   const std::size_t share_count = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(beta * static_cast<double>(n))));
+  const double rate =
+      speed * std::min(1.0, static_cast<double>(machines) /
+                                static_cast<double>(share_count));
+  rates.assign(n, 0.0);
+
+  bool ordered = true;
+  for (std::size_t i = 1; i < n && ordered; ++i) {
+    ordered = release(i - 1) <= release(i);
+  }
+  if (ordered) {
+    for (std::size_t i = n - share_count; i < n; ++i) rates[i] = rate;
+    return;
+  }
 
   idx.resize(n);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
@@ -129,11 +150,6 @@ void laps_rates(std::size_t n, int machines, double speed, double beta,
                       }
                       return a > b;
                     });
-
-  const double rate =
-      speed * std::min(1.0, static_cast<double>(machines) /
-                                static_cast<double>(share_count));
-  rates.assign(n, 0.0);
   for (std::size_t i = 0; i < share_count; ++i) rates[idx[i]] = rate;
 }
 
@@ -143,25 +159,68 @@ void laps_rates(std::size_t n, int machines, double speed, double beta,
   return base * std::pow(growth, level);
 }
 
-/// Level of a job with attained service `attained`: the number of
-/// thresholds it has passed.
-[[nodiscard]] inline int mlfq_level_of(double base, double growth,
-                                       double attained) noexcept {
-  if (attained < base) return 0;
-  // Smallest L with attained < base * growth^L.
-  const int lvl =
-      static_cast<int>(std::floor(std::log(attained / base) /
-                                  std::log(growth))) + 1;
-  // Guard against log rounding at exact threshold values.
-  int l = std::max(lvl - 1, 0);
-  while (attained >= mlfq_threshold(base, growth, l)) ++l;
-  return l;
-}
+/// The MLFQ thresholds of one (base, growth), tabulated for levels 0..63 by
+/// mlfq_threshold itself, so each entry has the formula's bits.  It caches
+/// run constants, not rule state (C2).
+class MlfqThresholds {
+ public:
+  static constexpr int kLevels = 64;
+
+  /// Tabulates (base, growth) unless the table already holds them.  The
+  /// table ends at the first infinite threshold: no finite attained service
+  /// passes it.
+  void reset(double base, double growth) noexcept {
+    if (size_ > 0 && base == base_ && growth == growth_) return;
+    base_ = base;
+    growth_ = growth;
+    size_ = 0;
+    while (size_ < kLevels) {
+      const double t = mlfq_threshold(base, growth, size_);
+      table_[static_cast<std::size_t>(size_++)] = t;
+      if (std::isinf(t)) break;
+    }
+  }
+
+  /// T_level: the table entry, or the formula past the table's end.
+  [[nodiscard]] double threshold(int level) const noexcept {
+    return level < size_ ? table_[static_cast<std::size_t>(level)]
+                         : mlfq_threshold(base_, growth_, level);
+  }
+
+  /// Level of a job with attained service `attained`: the number of
+  /// thresholds it has passed, i.e. the smallest L with attained < T_L.
+  /// Below the last tabulated threshold that is a binary search of the
+  /// table, with no log or pow.  Past it, a log guess picks where a walk up
+  /// the thresholds starts; the guess never starts above the answer, so
+  /// both paths return the same L.
+  [[nodiscard]] int level_of(double attained) const noexcept {
+    const auto end = table_.begin() + size_;
+    if (attained < *(end - 1)) {
+      return static_cast<int>(std::upper_bound(table_.begin(), end, attained) -
+                              table_.begin());
+    }
+    // The walk starts one below the level the logs give, which rounding at
+    // exact threshold values may put one too high.  Where attained / base_
+    // overflows there is no guess, and the walk starts at the table's end.
+    const double guess =
+        std::floor(std::log(attained / base_) / std::log(growth_));
+    int l = std::isinf(guess) ? size_ : std::max(static_cast<int>(guess), 0);
+    while (attained >= mlfq_threshold(base_, growth_, l)) ++l;
+    return l;
+  }
+
+ private:
+  double base_ = 0.0;
+  double growth_ = 0.0;
+  int size_ = 0;
+  std::array<double, kLevels> table_{};
+};
 
 /// Reusable scratch for mlfq_rates.
 struct MlfqScratch {
   std::vector<int> levels;
   std::vector<std::size_t> idx;
+  MlfqThresholds thresholds;
 };
 
 /// MLFQ (policies/mlfq.h): the m alive jobs of lexicographically least
@@ -175,10 +234,12 @@ template <typename AttainedAt, typename ReleaseAt>
                               const ReleaseAt& release,
                               std::vector<double>& rates,
                               MlfqScratch& scratch) {
+  auto& thresholds = scratch.thresholds;
+  thresholds.reset(base, growth);
   auto& levels = scratch.levels;
   levels.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    levels[i] = mlfq_level_of(base, growth, attained(i));
+    levels[i] = thresholds.level_of(attained(i));
   }
 
   auto& idx = scratch.idx;
@@ -202,8 +263,7 @@ template <typename AttainedAt, typename ReleaseAt>
     rates[a] = speed;
     // Re-query when this job crosses into the next level (it may then be
     // preempted by a lower-level waiter).
-    const double to_demotion =
-        mlfq_threshold(base, growth, levels[a]) - attained(a);
+    const double to_demotion = thresholds.threshold(levels[a]) - attained(a);
     if (to_demotion > 0.0) {
       breakpoint = std::min(breakpoint, to_demotion / speed);
     }

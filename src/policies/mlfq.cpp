@@ -12,14 +12,15 @@ Mlfq::Mlfq(double base_quantum, double growth)
   if (!(growth > 1.0)) {
     throw std::invalid_argument("Mlfq: growth must be > 1");
   }
+  scratch_.thresholds.reset(base_, growth_);
 }
 
 double Mlfq::threshold(int level) const noexcept {
-  return share_rules::mlfq_threshold(base_, growth_, level);
+  return scratch_.thresholds.threshold(level);
 }
 
 int Mlfq::level_of(double attained) const noexcept {
-  return share_rules::mlfq_level_of(base_, growth_, attained);
+  return scratch_.thresholds.level_of(attained);
 }
 
 RateDecision Mlfq::rates(const SchedulerContext& ctx) {

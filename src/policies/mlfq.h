@@ -6,9 +6,10 @@
 // id) run at full speed; a running job is demoted (re-queried via the
 // breakpoint) when its attained service crosses its current threshold.
 //
-// The allocation rule lives in core/share_rules.h (mlfq_rates / mlfq_level_of
-// / mlfq_threshold), shared with FastForwardCore's kLevelPriority kernel so
-// the fast path is bitwise-equal to the event loop.
+// The allocation rule lives in core/share_rules.h (mlfq_rates, with levels
+// read from an MlfqThresholds table of T_0..T_63 instead of a log per job),
+// shared with FastForwardCore's kLevelPriority kernel so the fast path is
+// bitwise-equal to the event loop.
 #pragma once
 
 #include "core/policy.h"
@@ -36,7 +37,8 @@ class Mlfq final : public Policy {
  private:
   double base_;
   double growth_;
-  share_rules::MlfqScratch scratch_;  // buffers only; no rule state (C2)
+  // Buffers plus the threshold table of (base_, growth_); no rule state (C2).
+  share_rules::MlfqScratch scratch_;
 };
 
 }  // namespace tempofair

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace tempofair {
@@ -202,6 +208,55 @@ TEST(FlowStats, SingleValue) {
   EXPECT_DOUBLE_EQ(s.variance, 0.0);
   EXPECT_DOUBLE_EQ(s.l2, 7.0);
   EXPECT_DOUBLE_EQ(s.p99, 7.0);
+}
+
+/// The sort-based percentile flow_stats and percentile() computed before
+/// they switched to selection, kept here as the reference they must match.
+double sorted_reference_percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double pos = (p / 100.0) * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+void expect_percentiles_match_sort(const std::vector<double>& v) {
+  SCOPED_TRACE("n=" + std::to_string(v.size()));
+  const FlowStats s = flow_stats(v);
+  const std::pair<double, double> stats[] = {
+      {50.0, s.p50}, {95.0, s.p95}, {99.0, s.p99}};
+  for (const auto& [p, got] : stats) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(sorted_reference_percentile(v, p)))
+        << "flow_stats p" << p;
+  }
+  for (const double p : {0.0, 12.5, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(v, p)),
+              std::bit_cast<std::uint64_t>(sorted_reference_percentile(v, p)))
+        << "percentile p" << p;
+  }
+}
+
+TEST(FlowStats, PercentilesMatchSortReference) {
+  // Distinct, heavily duplicated and all-equal flows at every size up to
+  // 300 (n = 101 puts p50/p95/p99 on integer positions, so hi == lo) and at
+  // 100k, where the nested selections work on long upper parts.
+  std::mt19937_64 rng(20261017);
+  std::exponential_distribution<double> flow(0.7);
+  std::uniform_int_distribution<int> few(0, 4);
+  const auto check_all_shapes = [&](std::size_t n) {
+    std::vector<double> distinct(n), duplicated(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      distinct[i] = flow(rng);
+      duplicated[i] = 0.25 * few(rng);
+    }
+    expect_percentiles_match_sort(distinct);
+    expect_percentiles_match_sort(duplicated);
+    expect_percentiles_match_sort(std::vector<double>(n, 3.75));
+  };
+  for (std::size_t n = 1; n <= 300; ++n) check_all_shapes(n);
+  check_all_shapes(100'000);
 }
 
 TEST(LinfNorm, EmptyIsZero) {

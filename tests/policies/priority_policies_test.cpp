@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "core/share_rules.h"
 #include "policies/round_robin.h"
 #include "workload/generators.h"
 
@@ -190,6 +198,76 @@ TEST(Laps, ShareCountUsesCeil) {
   EXPECT_DOUBLE_EQ(d.rates[0], 0.0);
   EXPECT_DOUBLE_EQ(d.rates[1], 0.5);
   EXPECT_DOUBLE_EQ(d.rates[2], 0.5);
+}
+
+TEST(ShareRules, LapsOutOfOrderReleasesUseFullRule) {
+  // laps_rates skips its sort when releases are nondecreasing in index.
+  // Unordered, tied and decreasing releases must still get the top
+  // ceil(beta*n) under (release desc, index desc), found here by brute
+  // force.
+  std::mt19937_64 rng(15);
+  std::uniform_int_distribution<int> release_slot(0, 5);
+  std::vector<double> rates;
+  std::vector<std::size_t> idx;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    std::vector<std::vector<double>> shapes(4, std::vector<double>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      shapes[0][i] = release_slot(rng);           // unordered, ties
+      shapes[1][i] = 2.5;                         // all tied
+      shapes[2][i] = static_cast<double>(n - i);  // decreasing
+      shapes[3][i] = static_cast<double>(i / 3);  // ordered, ties
+    }
+    for (const std::vector<double>& release : shapes) {
+      for (const double beta : {0.1, 0.5, 0.9, 1.0}) {
+        share_rules::laps_rates(
+            n, 2, 1.5, beta, [&](std::size_t i) { return release[i]; },
+            rates, idx);
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    return std::pair(release[a], a) > std::pair(release[b], b);
+                  });
+        const std::size_t k = std::max<std::size_t>(
+            1, static_cast<std::size_t>(std::ceil(beta * static_cast<double>(n))));
+        std::vector<double> expected(n, 0.0);
+        for (std::size_t i = 0; i < k; ++i) {
+          expected[order[i]] = 1.5 * std::min(1.0, 2.0 / static_cast<double>(k));
+        }
+        ASSERT_EQ(rates, expected) << "n=" << n << " beta=" << beta;
+      }
+    }
+  }
+
+  // On the engine: ids in decreasing release order, both engine cores,
+  // exhaustive invariants.  With distinct releases LAPS depends on the
+  // releases alone, so each job must complete when its copy in an
+  // instance with ids in arrival order does.
+  std::vector<std::pair<Time, Work>> pairs;
+  std::exponential_distribution<double> size(1.0);
+  for (int i = 0; i < 60; ++i) pairs.emplace_back(0.37 * (59 - i), size(rng));
+  std::vector<std::pair<Time, Work>> in_order(pairs.rbegin(), pairs.rend());
+  const Instance reversed = Instance::from_pairs(pairs);
+  const Instance ordered = Instance::from_pairs(in_order);
+  for (const int machines : {1, 3}) {
+    for (const bool fast_path : {false, true}) {
+      RunRequest req;
+      req.policy = "laps:0.5";
+      req.machines = machines;
+      req.use_fast_path = fast_path;
+      req.invariants = InvariantMode::kExhaustive;
+      const RunResult a = run(reversed, req);
+      const RunResult b = run(ordered, req);
+      EXPECT_TRUE(a.invariants.ok()) << summarize(a.invariants);
+      for (JobId j = 0; j < reversed.n(); ++j) {
+        EXPECT_NEAR(a.schedule.completion(j),
+                    b.schedule.completion(
+                        static_cast<JobId>(reversed.n() - 1 - j)),
+                    1e-9)
+            << "m=" << machines << " fast=" << fast_path << " job " << j;
+      }
+    }
+  }
 }
 
 TEST(Laps, IsNonClairvoyant) {
