@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dualfit.h"
 #include "common.h"
 #include "core/engine.h"
 #include "core/metrics.h"
@@ -334,6 +335,39 @@ Report run_fastpath_cases(const CaseOptions& options) {
         });
     c.stats["jobs"] = static_cast<double>(n_trace);
     c.stats["l2_norm_total"] = norms;
+    report.cases.push_back(std::move(c));
+  }
+
+  // --- Dual-fit certificate on a traced RR schedule -------------------------
+  // Configured like the perfbench dualfit_trace workload's k=2, m=1,
+  // speed-1 cell: 100k Pareto jobs at load 0.8, RR with the trace on.  The
+  // instance and its traced run are built once outside the timed body; only
+  // dual_fit_certificate is timed.
+  {
+    const std::size_t n_dual = smoke ? 5'000 : 100'000;
+    const Instance inst = workload::make_instance(workload::WorkloadSpec::poisson(
+        n_dual, 0.8, workload::ParetoSize{1.8, 0.5, 50.0}, kSeed + 4));
+    RunRequest req;
+    req.record_trace = true;
+    const Schedule schedule = tempofair::run(inst, req).schedule;
+    analysis::DualFitOptions opt;
+    opt.k = 2.0;
+    opt.eps = 0.05;
+    obs::Sink counters;
+    analysis::DualFitResult cert;
+    CaseResult c = measure(
+        "dual_fit_" + std::to_string(n_dual) + suffix, repeats, [&] {
+          const obs::ScopedSink scope(&counters);
+          cert = analysis::dual_fit_certificate(schedule, opt);
+        });
+    const auto per_call = [&](const char* counter) {
+      return static_cast<double>(counters.value(counter)) /
+             static_cast<double>(counters.value("dualfit.certificates"));
+    };
+    c.stats["jobs"] = static_cast<double>(n_dual);
+    c.stats["beta_pieces"] = per_call("dualfit.beta_pieces");
+    c.stats["feasibility_checks"] = per_call("dualfit.feasibility_checks");
+    c.stats["objective_ratio"] = cert.objective_ratio;
     report.cases.push_back(std::move(c));
   }
 

@@ -6,11 +6,13 @@
 // generation, because "million jobs end to end without materializing the
 // instance" is exactly the claim being measured).  Event-loop/fast-path
 // pairs run on the identical instance so the derived
-// `speedup_vs_event_loop` stat is apples to apples.  One case leaves the
-// engine: opt_bounds_lp_* times the OPT bracket with its LP lower bound on a
+// `speedup_vs_event_loop` stat is apples to apples.  Four cases leave the
+// engine: flow_stats_* times the metrics summary of a finished run,
+// opt_bounds_lp_* times the OPT bracket with its LP lower bound on a
 // fixed T2 family, so the min-cost flow and the certificate are gated too,
-// and certify_dense_lp_* times the dense simplex plus the exact re-solve
-// that certifies the adversary search's denominator.
+// certify_dense_lp_* times the dense simplex plus the exact re-solve that
+// certifies the adversary search's denominator, and dual_fit_* times the
+// dual-fitting verifier on a traced RR schedule.
 #pragma once
 
 #include <cstddef>

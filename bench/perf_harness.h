@@ -1,8 +1,7 @@
 // Perf measurement harness behind tools/perf_gate and BENCH_fastpath.json.
 //
-// google-benchmark (bench_perf.cpp) is great for interactive microbenchmark
-// work but awkward as a CI gate: its adaptive iteration counts make run
-// time unpredictable and its JSON says nothing about how noisy the machine
+// Adaptive-iteration microbenchmark libraries make a poor CI gate: run time
+// is unpredictable and their JSON says nothing about how noisy the machine
 // was.  This harness is the boring, auditable alternative: run each case a
 // fixed number of times, report the median wall time plus the median
 // absolute deviation (MAD -- a robust noise estimate that one scheduling

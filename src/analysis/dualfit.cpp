@@ -1,8 +1,10 @@
 #include "analysis/dualfit.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -13,10 +15,11 @@ namespace tempofair::analysis {
 
 namespace {
 
-/// integral over [a, b] of k (t - r)^(k-1) dt  =  (b-r)^k - (a-r)^k.
-double age_power_integral(double a, double b, double r, double k) {
-  return std::pow(b - r, k) - std::pow(a - r, k);
-}
+/// v^k.  At k == 1 the exact result v is representable, and a pow() whose
+/// error is below 1 ULP (glibc's: 0.52) must return it, so skipping the
+/// call is bit-identical.  No other exponent is special-cased: pow(v, 2)
+/// need not equal the correctly rounded v * v.
+double pow_k(double v, double k) { return k == 1.0 ? v : std::pow(v, k); }
 
 }  // namespace
 
@@ -44,20 +47,48 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
 
   const std::size_t n = schedule.n();
   const int m = schedule.machines();
+  const std::span<const Time> release = schedule.releases();
+  const std::span<const Time> completion = schedule.completions();
 
   std::vector<double> flow(n), fk(n), fkm1(n);
   for (std::size_t j = 0; j < n; ++j) {
-    flow[j] = schedule.flow(static_cast<JobId>(j));
-    fk[j] = std::pow(flow[j], k);
-    fkm1[j] = std::pow(flow[j], k - 1.0);
+    flow[j] = completion[j] - release[j];
+    fk[j] = pow_k(flow[j], k);
+    fkm1[j] = pow_k(flow[j], k - 1.0);
     res.rr_power += fk[j];
   }
 
   // ---- alpha_j --------------------------------------------------------------
+  // Every alpha term is an integral over one trace interval [a, b]:
+  //   integral_a^b k (t - r)^(k-1) dt  =  (b - r)^k - (a - r)^k.
+  // A job's intervals are normally consecutive, so its begin term is the
+  // end term of its previous interval: cache (t, (t - r_j)^k) per job and
+  // reuse it when the begin time has the same bits (same argument, same
+  // pow bits; comparing bits keeps -0.0 and +0.0 apart).  The cache starts
+  // at (r_j, +0): r_j is finite, so r_j - r_j = +0 and pow(+0, k) = +0 for
+  // k > 0 (C Annex F).  A job that leaves and re-enters the alive set just
+  // misses the cache.  This costs at most one pow per trace entry.
+  std::vector<Time> last_t(release.begin(), release.end());
+  std::vector<double> last_pow(n, 0.0);
+  const auto age_power_integral = [&](Time a, Time b, JobId job) {
+    const double hi = pow_k(b - release[job], k);
+    const double lo = std::bit_cast<std::uint64_t>(a) ==
+                              std::bit_cast<std::uint64_t>(last_t[job])
+                          ? last_pow[job]
+                          : pow_k(a - release[job], k);
+    last_t[job] = b;
+    last_pow[job] = hi;
+    return hi - lo;
+  };
+  const auto arrival_order = [&](JobId a, JobId b) {
+    if (release[a] != release[b]) return release[a] < release[b];
+    return a < b;
+  };
+
   std::vector<double> alpha(n, 0.0);
-  std::vector<JobId> by_arrival;   // alive jobs sorted by (release, id)
-  std::vector<double> prefix;      // prefix sums of per-j' integrals
+  std::vector<JobId> resorted;  // the alive set re-sorted by (release, id)
   std::size_t trace_intervals = 0;
+  std::size_t resorted_intervals = 0;
   for (const TraceIntervalView iv : schedule.trace()) {
     ++trace_intervals;
     const std::size_t nt = iv.alive_count();
@@ -66,31 +97,31 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
 
     if (!overloaded) {
       for (const JobId job : iv.jobs()) {
-        alpha[job] +=
-            age_power_integral(iv.begin(), iv.end(), schedule.release(job), k);
+        alpha[job] += age_power_integral(iv.begin(), iv.end(), job);
       }
       continue;
     }
 
     // Overloaded: alpha_j gains sum_{j' arrived no later} integral of
-    // k (t - r_{j'})^{k-1} / n_t.  Sort the alive set by arrival and use
-    // prefix sums so each interval costs O(n_t log n_t).
-    by_arrival.assign(iv.jobs().begin(), iv.jobs().end());
-    std::sort(by_arrival.begin(), by_arrival.end(), [&](JobId a, JobId b) {
-      const Time ra = schedule.release(a), rb = schedule.release(b);
-      if (ra != rb) return ra < rb;
-      return a < b;
-    });
-    prefix.assign(nt + 1, 0.0);
-    for (std::size_t i = 0; i < nt; ++i) {
-      prefix[i + 1] =
-          prefix[i] + age_power_integral(iv.begin(), iv.end(),
-                                         schedule.release(by_arrival[i]), k);
+    // k (t - r_{j'})^{k-1} / n_t, a prefix sum over the alive set in
+    // (release, id) order.  Rows are sorted by id and ids are assigned in
+    // release order by every generator, stream and trace, so the row is
+    // normally in that order already and the interval costs O(n_t); other
+    // rows (e.g. Instance::from_pairs with out-of-order releases) are
+    // sorted first, O(n_t log n_t).
+    std::span<const JobId> by_arrival = iv.jobs();
+    if (!std::is_sorted(by_arrival.begin(), by_arrival.end(), arrival_order)) {
+      resorted.assign(by_arrival.begin(), by_arrival.end());
+      std::sort(resorted.begin(), resorted.end(), arrival_order);
+      by_arrival = resorted;
+      ++resorted_intervals;
     }
-    for (std::size_t i = 0; i < nt; ++i) {
-      // by_arrival[i] has rank i+1; it collects the terms of all jobs with
-      // rank <= i+1 (those that arrived no later than it), averaged by n_t.
-      alpha[by_arrival[i]] += prefix[i + 1] / static_cast<double>(nt);
+    double prefix = 0.0;
+    for (const JobId job : by_arrival) {
+      // The i-th job in arrival order collects the terms of the i jobs that
+      // arrived no later than it, averaged by n_t.
+      prefix += age_power_integral(iv.begin(), iv.end(), job);
+      alpha[job] += prefix / static_cast<double>(nt);
     }
   }
   for (std::size_t j = 0; j < n; ++j) {
@@ -109,8 +140,8 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   std::vector<BetaEvent> events;
   events.reserve(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
-    const Time start = schedule.release(static_cast<JobId>(j));
-    const Time stop = schedule.completion(static_cast<JobId>(j)) + res.delta * flow[j];
+    const Time start = release[j];
+    const Time stop = completion[j] + res.delta * flow[j];
     events.push_back(BetaEvent{start, beta_coeff * fkm1[j]});
     events.push_back(BetaEvent{stop, -beta_coeff * fkm1[j]});
   }
@@ -161,9 +192,9 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   // is nondecreasing in t inside the piece, so its minimum is at
   // t = max(t_i, r_j); a piece entirely before r_j is skipped.
   //
-  // Windowed scan instead of the naive O(n * pieces) sweep: binary-search
-  // the first piece whose window reaches past r_j, then walk forward and
-  // stop once the beta-free lower bound
+  // Windowed scan instead of the naive O(n * pieces) sweep: find the first
+  // piece whose window reaches past r_j, then walk forward and stop once the
+  // beta-free lower bound
   //   base(t) = gamma ((t - r_j)^k + p_j^k) / p_j
   // provably exceeds the job's running minimum slack.  base(t) is
   // nondecreasing in t and beta >= 0 with rhs = base + beta (rounding is
@@ -173,17 +204,24 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   // lhs and the largest relative violation sits at the min-slack piece,
   // which the scan has already visited.  The relative margin keeps the
   // cutoff conservative against pow() rounding wobble between pieces.
+  //
+  // The first piece is the one containing r_j, or piece 0 when r_j precedes
+  // every breakpoint.  When releases are nondecreasing in id (ids assigned
+  // in arrival order), a cursor advanced job by job finds it in O(n +
+  // pieces) overall; otherwise each job binary-searches for it.
+  const bool releases_ordered = std::is_sorted(release.begin(), release.end());
+  std::size_t cursor = 0;
   res.min_slack = kInfiniteTime;
   res.max_relative_violation = 0.0;
   std::size_t feasibility_checks = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const double pj = schedule.size(static_cast<JobId>(j));
-    const double rj = schedule.release(static_cast<JobId>(j));
+    const double rj = release[j];
     const double lhs = alpha[j] / pj;
-    const double pjk = std::pow(pj, k);
+    const double pjk = pow_k(pj, k);
     double job_min_slack = kInfiniteTime;
     auto base_at = [&](Time t) {
-      return res.gamma * (std::pow(std::max(t - rj, 0.0), k) + pjk) / pj;
+      return res.gamma * (pow_k(std::max(t - rj, 0.0), k) + pjk) / pj;
     };
     auto check = [&](double base, double beta_value) {
       ++feasibility_checks;
@@ -203,17 +241,23 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
       continue;
     }
 
-    // First piece whose [start, end) reaches past rj: the piece containing
-    // rj, or piece 0 when rj precedes every breakpoint.
-    const auto q = std::upper_bound(
-        beta_pieces.begin(), beta_pieces.end(), rj,
-        [](Time t, const std::pair<Time, double>& piece) {
-          return t < piece.first;
-        });
-    const std::size_t p0 =
-        q == beta_pieces.begin()
-            ? 0
-            : static_cast<std::size_t>(q - beta_pieces.begin()) - 1;
+    std::size_t p0 = 0;
+    if (releases_ordered) {
+      while (cursor + 1 < beta_pieces.size() &&
+             beta_pieces[cursor + 1].first <= rj) {
+        ++cursor;
+      }
+      p0 = cursor;
+    } else {
+      const auto q = std::upper_bound(
+          beta_pieces.begin(), beta_pieces.end(), rj,
+          [](Time t, const std::pair<Time, double>& piece) {
+            return t < piece.first;
+          });
+      if (q != beta_pieces.begin()) {
+        p0 = static_cast<std::size_t>(q - beta_pieces.begin()) - 1;
+      }
+    }
 
     bool cut_off = false;
     for (std::size_t p = p0; p < beta_pieces.size(); ++p) {
@@ -247,6 +291,7 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   obs::add("dualfit.trace_intervals", trace_intervals);
   obs::add("dualfit.beta_pieces", beta_pieces.size());
   obs::add("dualfit.feasibility_checks", feasibility_checks);
+  obs::add("dualfit.resorted_intervals", resorted_intervals);
   return res;
 }
 
