@@ -1,8 +1,16 @@
+// The discretized Section 3.1 LP: slot grid, unit costs, the min-cost-flow
+// solve and its exact dual certificate (certify_flowtime_dual), plus the
+// dense builder for the simplex cross-check.  The certificate decides most
+// dual constraints in doubles, inside a stated range where that is exact,
+// and the rest in Rational; its result has the same bits as checking every
+// constraint in Rational.
 #include "lpsolve/flowtime_lp.h"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lpsolve/mincost_flow.h"
@@ -67,10 +75,49 @@ double unit_cost(const Job& j, const Grid& g, std::size_t s, double k) {
   return j.size >= kMinLpJobSize;
 }
 
+/// Rejects an included job released at or after the end of the (possibly
+/// capped) grid: it would have no slot to run in.
+void require_slot_for(const Job& j, const Grid& g) {
+  if (g.first_slot_for(j.release) >= g.slots) {
+    throw std::invalid_argument(
+        "flowtime_lp: job " + std::to_string(j.id) +
+        " is released after the last of the " + std::to_string(g.slots) +
+        " slots (max_slots too small)");
+  }
+}
+
 /// Dyadic grid for quantized duals: multiples of 2^-24 keep every
 /// denominator a power of two small enough that the exact dual objective
 /// stays far from 128-bit overflow.
 constexpr unsigned kDualGridBits = 24;
+
+/// The range in which the certificate's Rational arithmetic provably stays
+/// exact, so that doubles may decide for it.  A cost c in {0} u [2^-30, 2^44)
+/// is a double whose denominator is at most 2^(30+52); beta is a multiple of
+/// 2^-24 below 2^44.  operator+ puts c + beta over the larger denominator
+/// D <= 2^82, and its products c*D, beta*D and (c + beta)*D stay below
+/// 2^45 * 2^82 = 2^127: every c + beta is valid, and operator< (cross
+/// products, else the difference over D) compares any two of them exactly.
+/// In the re-check with 0 <= alpha, beta < 2^28, alpha - beta has
+/// denominator <= 2^24 and (|alpha - beta| + c) * D < 2^127, so Rational
+/// decides `alpha - beta <= c` exactly -- and so do doubles, since the
+/// difference of two multiples of 2^-24 below 2^28 is a double.
+constexpr double kExactCostMin = 0x1p-30;
+constexpr double kExactMax = 0x1p44;
+constexpr double kExactDiffMax = 0x1p28;
+
+[[nodiscard]] bool in_exact_range(double cost) {
+  return cost == 0.0 || (cost >= kExactCostMin && cost < kExactMax);
+}
+
+/// x as a double when the conversion round-trips exactly, else +inf, which
+/// fails every range test above.
+[[nodiscard]] double exact_double(const Rational& x) {
+  const double d = x.to_double();
+  return Rational::from_double(d) == x
+             ? d
+             : std::numeric_limits<double>::infinity();
+}
 
 /// Repairs the min-cost-flow potentials into an exactly-feasible dual of the
 /// transportation LP
@@ -83,19 +130,34 @@ constexpr unsigned kDualGridBits = 24;
 /// from the potentials (zeroed on unsaturated slots per complementary
 /// slackness, then quantized to the dyadic grid); alpha_j is then set to the
 /// *exact* best response max(0, floor_grid(min_t (c_jt + beta_t))), which is
-/// feasible by construction.  An independent exact pass re-checks every dual
+/// feasible by construction.  An independent pass re-checks every dual
 /// constraint before the objective is trusted.  Weak duality then makes the
 /// returned value a machine-checked lower bound on the LP optimum.  Any
 /// overflow poisons the result and yields certified = false.  `costs` holds
 /// c_jt for every job->slot edge in build order (job-major, slots
-/// ascending): the very doubles MCMF solved with, which each pass converts
-/// to Rational on its own.
+/// ascending): the very doubles MCMF solved with.
+///
+/// Doubles only choose which arcs need Rational; every value that enters
+/// alpha, beta or the objective is exact, and the result has the same bits
+/// as evaluating every arc in Rational:
+///  * best response: fl(c + beta) is correctly rounded, hence monotone, so
+///    every arc holding the exact minimum has the job's smallest double sum
+///    m, and only arcs with sum <= m need the exact minimum.  The filter
+///    applies to a job only when all its arcs are in the exact range, where
+///    an all-Rational scan has valid sums and exact comparisons, so skipping
+///    arcs cannot change its minimum; otherwise every arc of the job goes
+///    through Rational in order, overflows included;
+///  * re-check: an arc in the exact range with alpha_j, beta_t < 2^28 is
+///    decided by `alpha - beta <= c` in doubles, any other arc in Rational.
+/// Counts "lpcert.flow.arcs" (arcs visited by both passes) and
+/// "lpcert.flow.exact_arcs" (the ones evaluated in Rational).
 CertifiedBound certify_flowtime_dual(
     const std::vector<const Job*>& included, const Grid& g,
     const FlowtimeLpOptions& options, const std::vector<double>& costs,
     const MinCostFlow& mcf, std::size_t slot_node0, std::size_t sink_node,
     const std::vector<std::size_t>& slot_edge_handles) {
   const obs::ScopedTimer timer("lpsolve.certify");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const double slot_cap = g.slot * options.machines;
   const std::vector<double>& phi = mcf.potentials();
 
@@ -103,6 +165,7 @@ CertifiedBound certify_flowtime_dual(
   // (complementary slackness says the optimal dual does, and zeroing can
   // only help the alpha best response); any nonnegative beta is feasible.
   std::vector<Rational> beta(g.slots);
+  std::vector<double> beta_d(g.slots);
   bool ok = true;
   for (std::size_t s = 0; s < g.slots; ++s) {
     double b = 0.0;
@@ -112,22 +175,43 @@ CertifiedBound certify_flowtime_dual(
     beta[s] = Rational::from_double(b).floor_to_dyadic(kDualGridBits);
     if (beta[s].is_negative()) beta[s] = Rational();
     if (!beta[s].valid()) ok = false;
+    beta_d[s] = exact_double(beta[s]);
   }
+
+  std::size_t arcs = 0;
+  std::size_t exact_arcs = 0;
 
   // alpha_j = max(0, floor_grid(min_t (c_jt + beta_t))), computed exactly.
   std::vector<Rational> alpha(included.size());
-  std::size_t arc = 0;  // index into `costs`
+  std::vector<double> alpha_d(included.size());
+  std::size_t job_arc0 = 0;  // index into `costs` of the job's first arc
   for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
     const std::size_t first = g.first_slot_for(included[ji]->release);
+    const std::size_t job_arcs = g.slots - first;
+    const double* c = costs.data() + job_arc0;
+    // The job's smallest double sum m, or +inf (no arc skipped) when some
+    // arc is outside the exact range.
+    double keep_up_to = kInf;
+    for (std::size_t i = 0; i < job_arcs; ++i) {
+      if (!in_exact_range(c[i]) || !(beta_d[first + i] < kExactMax)) {
+        keep_up_to = kInf;
+        break;
+      }
+      keep_up_to = std::min(keep_up_to, c[i] + beta_d[first + i]);
+    }
     Rational best = Rational::invalid();
-    for (std::size_t s = first; s < g.slots; ++s) {
-      const Rational cand = Rational::from_double(costs[arc++]) + beta[s];
+    for (std::size_t i = 0; i < job_arcs; ++i) {
+      ++arcs;
+      if (c[i] + beta_d[first + i] > keep_up_to) continue;
+      ++exact_arcs;
+      const Rational cand = Rational::from_double(c[i]) + beta[first + i];
       if (!cand.valid()) {
         ok = false;
         break;
       }
       if (!best.valid() || cand < best) best = cand;
     }
+    job_arc0 += job_arcs;
     if (!ok || !best.valid()) {
       ok = false;
       break;
@@ -135,21 +219,33 @@ CertifiedBound certify_flowtime_dual(
     alpha[ji] = best.floor_to_dyadic(kDualGridBits);
     if (alpha[ji].is_negative()) alpha[ji] = Rational();
     if (!alpha[ji].valid()) ok = false;
+    alpha_d[ji] = exact_double(alpha[ji]);
   }
 
-  // Independent exact feasibility re-check of every dual constraint, so the
+  // Independent feasibility re-check of every dual constraint, so the
   // certificate does not depend on the construction above being right.
-  arc = 0;
+  std::size_t arc = 0;  // index into `costs`
   for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
     const std::size_t first = g.first_slot_for(included[ji]->release);
     for (std::size_t s = first; s < g.slots; ++s) {
-      const Rational c = Rational::from_double(costs[arc++]);
-      if (!(alpha[ji] - beta[s] <= c)) {  // fails closed on invalid
+      const double c = costs[arc++];
+      ++arcs;
+      bool feasible = false;
+      if (alpha_d[ji] < kExactDiffMax && beta_d[s] < kExactDiffMax &&
+          in_exact_range(c)) {
+        feasible = alpha_d[ji] - beta_d[s] <= c;
+      } else {
+        ++exact_arcs;
+        feasible = alpha[ji] - beta[s] <= Rational::from_double(c);
+      }
+      if (!feasible) {  // the Rational test fails closed on invalid
         ok = false;
         break;
       }
     }
   }
+  obs::add("lpcert.flow.arcs", arcs);
+  obs::add("lpcert.flow.exact_arcs", exact_arcs);
 
   CertifiedBound cert;
   if (ok) {
@@ -184,6 +280,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   double included_work = 0.0;
   for (const Job& j : instance.jobs()) {
     if (lp_included(j)) {
+      require_slot_for(j, g);
       included.push_back(&j);
       included_work += j.size;
     }
@@ -264,6 +361,7 @@ LinearProgram build_flowtime_lp(const Instance& instance,
   for (std::size_t j = 0; j < n; ++j) {
     const Job& job = instance.job(static_cast<JobId>(j));
     incl[j] = lp_included(job);
+    if (incl[j]) require_slot_for(job, g);
     first_slot[j] = g.first_slot_for(job.release);
     var_base[j + 1] =
         var_base[j] + (incl[j] ? g.slots - first_slot[j] : 0);

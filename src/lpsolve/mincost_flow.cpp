@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/obs.h"
 
 namespace tempofair::lpsolve {
 
 MinCostFlow::MinCostFlow(std::size_t num_nodes) : num_nodes_(num_nodes) {
-  if (num_nodes > std::numeric_limits<Index>::max()) {
+  // Dijkstra's heap reserves the two largest indices as markers.
+  if (num_nodes >= std::numeric_limits<Index>::max() - 1) {
     throw std::invalid_argument("MinCostFlow: too many nodes");
   }
 }
@@ -90,9 +89,58 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
   std::vector<std::size_t> prev_arc(n);
   Result result;
 
-  using QItem = std::pair<double, std::size_t>;  // (dist, node)
-  const std::greater<> heap_order;
-  std::vector<QItem> heap;  // min-heap, reused by every Dijkstra
+  // Indexed 4-ary min-heap over nodes, ordered by (dist[v], v): one entry per
+  // reached, unsettled node, updated in place by decrease-key.  It pops the
+  // same nodes in the same order as a lazy heap of (dist, node) pairs would,
+  // because (a) every label improvement lowers it by more than cost_eps, so
+  // a lazy heap's stale copies never pass its staleness check and the live
+  // copies are exactly (dist[v], v); and (b) reduced costs are clamped at 0
+  // and pops never decrease, so a settled node cannot improve again.
+  struct HeapEntry {
+    double dist;
+    Index node;
+  };
+  const auto before = [](const HeapEntry& a, const HeapEntry& b) {
+    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
+  };
+  constexpr Index kUnreached = std::numeric_limits<Index>::max();
+  constexpr Index kSettled = kUnreached - 1;
+  std::vector<HeapEntry> heap(n);  // heap[0 .. heap_size)
+  std::vector<Index> heap_pos(n);  // index into heap, kUnreached or kSettled
+  std::size_t heap_size = 0;
+  const auto place = [&](std::size_t i, const HeapEntry& e) {
+    heap[i] = e;
+    heap_pos[e.node] = static_cast<Index>(i);
+  };
+  const auto sift_up = [&](std::size_t i, const HeapEntry e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!before(e, heap[parent])) break;
+      place(i, heap[parent]);
+      i = parent;
+    }
+    place(i, e);
+  };
+  const auto pop_min = [&]() {
+    const Index top = heap[0].node;
+    heap_pos[top] = kSettled;
+    const HeapEntry e = heap[--heap_size];
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t child = 4 * i + 1;
+      if (child >= heap_size) break;
+      std::size_t best = child;
+      const std::size_t last = std::min(child + 4, heap_size);
+      for (std::size_t c = child + 1; c < last; ++c) {
+        if (before(heap[c], heap[best])) best = c;
+      }
+      if (!before(heap[best], e)) break;
+      place(i, heap[best]);
+      i = best;
+    }
+    if (i < heap_size) place(i, e);
+    return top;
+  };
 
   const std::size_t max_augmentations = 100 * (arcs.size() + n) + 1000;
   std::size_t augmentations = 0;
@@ -108,16 +156,15 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
     // distance and path are final then, and every node still unsettled has
     // dist >= dist[t], which the capped update below turns into dist[t].
     std::fill(dist.begin(), dist.end(), kInf);
+    std::fill(heap_pos.begin(), heap_pos.end(), kUnreached);
     dist[s] = 0.0;
-    heap.clear();
-    heap.emplace_back(0.0, s);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), heap_order);
-      const auto [d, u] = heap.back();
-      heap.pop_back();
-      if (d > dist[u] + cost_eps) continue;
+    heap_size = 1;
+    place(0, HeapEntry{0.0, static_cast<Index>(s)});
+    while (heap_size > 0) {
+      const std::size_t u = pop_min();
       if (u == t) break;
       ++settled;
+      const double d = dist[u];
       for (std::size_t ai = first[u]; ai < first[u + 1]; ++ai) {
         const Arc& a = arcs[ai];
         if (a.cap <= kFlowEps) continue;
@@ -127,10 +174,15 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
             std::max(a.cost + potential[u] - potential[a.to], 0.0);
         const double nd = d + reduced;
         if (nd < dist[a.to] - cost_eps) {
+          Index at = heap_pos[a.to];
+          if (at == kSettled) {
+            throw std::logic_error(
+                "MinCostFlow::solve: a settled node's distance improved");
+          }
+          if (at == kUnreached) at = static_cast<Index>(heap_size++);
           dist[a.to] = nd;
           prev_arc[a.to] = ai;
-          heap.emplace_back(nd, a.to);
-          std::push_heap(heap.begin(), heap.end(), heap_order);
+          sift_up(at, HeapEntry{nd, a.to});
         }
       }
     }

@@ -14,6 +14,9 @@
 // order the edges were added in.  Each Dijkstra stops as soon as it pops the
 // sink: the potential update caps every distance at dist[t], so nodes it
 // never settled get exactly the value a full Dijkstra would give them.
+// Dijkstra's queue is an indexed 4-ary heap ordered by (dist[v], v), with
+// one entry per reached node and decrease-key; it pops the same nodes in the
+// same order as a lazy heap of (dist, node) pairs (see solve()).
 #pragma once
 
 #include <cstddef>

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common.h"
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "lpsolve/mincost_flow.h"
+#include "lpsolve/rational.h"
+#include "obs/obs.h"
 #include "policies/priority_policies.h"
 #include "workload/generators.h"
 
@@ -160,6 +169,36 @@ TEST(FlowtimeLp, InsufficientSlotCapRejected) {
   EXPECT_THROW((void)solve_flowtime_lp(inst, opt), std::invalid_argument);
 }
 
+TEST(FlowtimeLp, SolveRejectsJobReleasedAfterCappedGrid) {
+  // Capacity 20 covers the work 11, but job 1 arrives at t=100, after the
+  // last of the 20 slots.
+  const std::vector<std::pair<Time, Work>> pairs{{0.0, 10.0}, {100.0, 1.0}};
+  FlowtimeLpOptions opt;
+  opt.slot = 1.0;
+  opt.max_slots = 20;
+  try {
+    (void)solve_flowtime_lp(Instance::from_pairs(pairs), opt);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 1 "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FlowtimeLp, BuildRejectsJobReleasedAfterCappedGrid) {
+  const std::vector<std::pair<Time, Work>> pairs{{0.0, 10.0}, {100.0, 1.0}};
+  FlowtimeLpOptions opt;
+  opt.slot = 1.0;
+  opt.max_slots = 20;
+  try {
+    (void)build_flowtime_lp(Instance::from_pairs(pairs), opt);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 1 "), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FlowtimeLp, LateReleaseShiftsCosts) {
   // A job released at t=5 must not be charged for waiting before 5.
   const Instance early = Instance::batch(std::vector<Work>{1.0}, 0.0);
@@ -168,6 +207,283 @@ TEST(FlowtimeLp, LateReleaseShiftsCosts) {
   opt.k = 2.0;
   EXPECT_NEAR(solve_flowtime_lp(early, opt).lp_value,
               solve_flowtime_lp(late, opt).lp_value, 1e-9);
+}
+
+// --- Reference certificate ---------------------------------------------------
+//
+// The certificate as it was before the double filter: every job->slot arc
+// evaluated in Rational, in the best response and in the re-check.  It is fed
+// the same graph solve_flowtime_lp builds, so both see the same MCMF solve.
+namespace reference {
+
+struct Grid {
+  double t0 = 0.0;
+  double slot = 1.0;
+  std::size_t slots = 0;
+
+  [[nodiscard]] double slot_start(std::size_t s) const {
+    return t0 + static_cast<double>(s) * slot;
+  }
+  [[nodiscard]] std::size_t first_slot_for(double release) const {
+    const double rel = (release - t0) / slot;
+    return static_cast<std::size_t>(std::floor(rel + 1e-12));
+  }
+};
+
+Grid make_grid(const Instance& instance, const FlowtimeLpOptions& options) {
+  Grid g;
+  g.t0 = instance.min_release();
+  g.slot = options.slot;
+  const double horizon =
+      instance.horizon_bound(options.machines, 1.0) - g.t0;
+  g.slots = static_cast<std::size_t>(std::ceil(horizon / g.slot)) + 1;
+  if (options.max_slots > 0) g.slots = std::min(g.slots, options.max_slots);
+  return g;
+}
+
+double unit_cost(const Job& j, const Grid& g, std::size_t s, double k) {
+  const double t = std::max(g.slot_start(s) - j.release, 0.0);
+  return (std::pow(t, k) + std::pow(j.size, k)) / j.size;
+}
+
+constexpr unsigned kDualGridBits = 24;
+
+CertifiedBound certify_flowtime_dual(
+    const std::vector<const Job*>& included, const Grid& g,
+    const FlowtimeLpOptions& options, const std::vector<double>& costs,
+    const MinCostFlow& mcf, std::size_t slot_node0, std::size_t sink_node,
+    const std::vector<std::size_t>& slot_edge_handles) {
+  const double slot_cap = g.slot * options.machines;
+  const std::vector<double>& phi = mcf.potentials();
+
+  std::vector<Rational> beta(g.slots);
+  bool ok = true;
+  for (std::size_t s = 0; s < g.slots; ++s) {
+    double b = 0.0;
+    if (mcf.flow_on(slot_edge_handles[s]) >= slot_cap - kFlowEps) {
+      b = std::max(0.0, phi[sink_node] - phi[slot_node0 + s]);
+    }
+    beta[s] = Rational::from_double(b).floor_to_dyadic(kDualGridBits);
+    if (beta[s].is_negative()) beta[s] = Rational();
+    if (!beta[s].valid()) ok = false;
+  }
+
+  std::vector<Rational> alpha(included.size());
+  std::size_t arc = 0;
+  for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
+    const std::size_t first = g.first_slot_for(included[ji]->release);
+    Rational best = Rational::invalid();
+    for (std::size_t s = first; s < g.slots; ++s) {
+      const Rational cand = Rational::from_double(costs[arc++]) + beta[s];
+      if (!cand.valid()) {
+        ok = false;
+        break;
+      }
+      if (!best.valid() || cand < best) best = cand;
+    }
+    if (!ok || !best.valid()) {
+      ok = false;
+      break;
+    }
+    alpha[ji] = best.floor_to_dyadic(kDualGridBits);
+    if (alpha[ji].is_negative()) alpha[ji] = Rational();
+    if (!alpha[ji].valid()) ok = false;
+  }
+
+  arc = 0;
+  for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
+    const std::size_t first = g.first_slot_for(included[ji]->release);
+    for (std::size_t s = first; s < g.slots; ++s) {
+      const Rational c = Rational::from_double(costs[arc++]);
+      if (!(alpha[ji] - beta[s] <= c)) {
+        ok = false;
+        break;
+      }
+    }
+  }
+
+  CertifiedBound cert;
+  if (ok) {
+    Rational dual_obj;
+    for (std::size_t ji = 0; ji < included.size(); ++ji) {
+      dual_obj += Rational::from_double(included[ji]->size) * alpha[ji];
+    }
+    const Rational cap = Rational::from_double(slot_cap);
+    for (std::size_t s = 0; s < g.slots; ++s) {
+      if (!beta[s].is_zero()) dual_obj -= cap * beta[s];
+    }
+    if (dual_obj.valid()) {
+      cert.value = std::max(0.0, dual_obj.lower_double());
+      cert.certified = true;
+    }
+  }
+  return cert;
+}
+
+struct Solved {
+  double lp_value = 0.0;
+  CertifiedBound certificate;
+};
+
+/// solve_flowtime_lp's graph and MCMF solve, certified by the copy above.
+Solved solve(const Instance& instance, const FlowtimeLpOptions& options) {
+  const Grid g = make_grid(instance, options);
+  const std::size_t n = instance.n();
+  std::vector<const Job*> included;
+  double included_work = 0.0;
+  for (const Job& j : instance.jobs()) {
+    if (j.size >= kMinLpJobSize) {
+      included.push_back(&j);
+      included_work += j.size;
+    }
+  }
+  const std::size_t kSource = 0;
+  const std::size_t kJob0 = 1;
+  const std::size_t kSlot0 = kJob0 + n;
+  const std::size_t kSink = kSlot0 + g.slots;
+  MinCostFlow mcf(kSink + 1);
+  const double slot_cap = g.slot * options.machines;
+  std::vector<std::size_t> slot_edge(g.slots);
+  for (std::size_t s = 0; s < g.slots; ++s) {
+    slot_edge[s] = mcf.add_edge(kSlot0 + s, kSink, slot_cap, 0.0);
+  }
+  std::vector<double> costs;
+  for (const Job* jp : included) {
+    mcf.add_edge(kSource, kJob0 + jp->id, jp->size, 0.0);
+    for (std::size_t s = g.first_slot_for(jp->release); s < g.slots; ++s) {
+      costs.push_back(unit_cost(*jp, g, s, options.k));
+      mcf.add_edge(kJob0 + jp->id, kSlot0 + s, included_work + 1.0,
+                   costs.back());
+    }
+  }
+  Solved out;
+  out.lp_value = mcf.solve(kSource, kSink, included_work).cost;
+  out.certificate = certify_flowtime_dual(included, g, options, costs, mcf,
+                                          kSlot0, kSink, slot_edge);
+  return out;
+}
+
+}  // namespace reference
+
+struct CertCounts {
+  bool certified = false;
+  std::uint64_t arcs = 0;
+  std::uint64_t exact_arcs = 0;
+};
+
+/// Solves `inst` and compares its certificate with the reference bit for
+/// bit; returns the certificate's verdict and lpcert.flow.* counters.
+CertCounts expect_reference_certificate(const Instance& inst,
+                                        const FlowtimeLpOptions& opt,
+                                        const std::string& what) {
+  obs::Sink counters;
+  FlowtimeLpResult got;
+  {
+    const obs::ScopedSink scope(&counters);
+    got = solve_flowtime_lp(inst, opt);
+  }
+  const reference::Solved want = reference::solve(inst, opt);
+  // Equal LP values mean the reference rebuilt the same graph.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lp_value),
+            std::bit_cast<std::uint64_t>(want.lp_value))
+      << what;
+  EXPECT_EQ(got.certificate.certified, want.certificate.certified) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.certificate.value),
+            std::bit_cast<std::uint64_t>(want.certificate.value))
+      << what;
+  return {got.certificate.certified, counters.value("lpcert.flow.arcs"),
+          counters.value("lpcert.flow.exact_arcs")};
+}
+
+std::string describe(const std::string& name, const FlowtimeLpOptions& opt) {
+  return name + " k=" + std::to_string(opt.k) +
+         " m=" + std::to_string(opt.machines) +
+         " slot=" + std::to_string(opt.slot);
+}
+
+TEST(FlowtimeLp, CertificateMatchesExactReference) {
+  // The standard workloads on grids of about 50 slots, and 150 for n <= 50.
+  // adv-geometric (255 jobs) does not depend on n, so it runs at n=12, m=1.
+  for (const std::size_t n : {12u, 50u, 100u}) {
+    for (const int m : {1, 2, 4}) {
+      for (const bench::NamedInstance& f : bench::standard_workloads(n, m, 1)) {
+        if ((n > 12 || m > 1) && f.name == "adv-geometric") continue;
+        const double horizon =
+            f.instance.horizon_bound(m, 1.0) - f.instance.min_release();
+        for (const double k : {1.0, 1.5, 2.0, 3.0}) {
+          for (const double slots : {50.0, 150.0}) {
+            if (n > 50 && slots > 50.0) continue;
+            FlowtimeLpOptions opt;
+            opt.k = k;
+            opt.machines = m;
+            opt.slot = horizon / slots;
+            const CertCounts c = expect_reference_certificate(
+                f.instance, opt,
+                describe(f.name, opt) + " n=" + std::to_string(n));
+            // These costs and prices are all in the exact range: the filter
+            // leaves about one arc per job to Rational.
+            EXPECT_TRUE(c.certified) << describe(f.name, opt);
+            EXPECT_LE(c.exact_arcs, c.arcs / 20) << describe(f.name, opt);
+          }
+        }
+      }
+    }
+  }
+
+  workload::Rng rng(2015);
+  // Every fourth job is just above kMinLpJobSize.  At k=3 its unit costs p^2
+  // lie below 2^-74, where Rational::from_double gives up, so the bound is
+  // uncertified, as it always was; at k=1 its costs (t + p)/p exceed 2^44.
+  // Either way those jobs leave the exact range and take Rational arc by arc.
+  constexpr int kTinyJobs = 24;
+  std::vector<std::pair<Time, Work>> tiny;
+  Time t = 0.0;
+  for (int i = 0; i < kTinyJobs; ++i) {
+    t += rng.uniform(0.0, 2.0);
+    tiny.emplace_back(t, i % 4 == 0 ? kMinLpJobSize * rng.uniform(1.0, 4.0)
+                                    : rng.uniform(0.5, 2.0));
+  }
+  // A long busy batch at k=3: slot prices beta pass 2^28 on one machine, so
+  // the re-check decides those slots' arcs in Rational.
+  std::vector<std::pair<Time, Work>> batch;
+  for (int i = 0; i < 30; ++i) batch.emplace_back(rng.uniform(0.0, 5.0), 200.0);
+  // Four unit jobs keep a machine busy until t=4, and a job of size 1e-11
+  // arrives just before the second 0.5-wide slot.  At k=3 its first arc
+  // costs p^2 = 1e-22 (denominator ~2^125), so c + beta overflows under that
+  // slot's price; its other arcs cost ~1e-7 to ~1e13 < 2^44, and the second
+  // one is cheaper than the first.  The all-Rational scan gives up on the
+  // first arc all the same, so the bound stays uncertified -- and a filter
+  // that skipped that arc would certify it.
+  std::vector<std::pair<Time, Work>> busy_tiny(4, {0.0, 1.0});
+  busy_tiny.emplace_back(0.5 - 1e-6, 1e-11);
+
+  for (const int m : {1, 2}) {
+    FlowtimeLpOptions opt;
+    opt.machines = m;
+    opt.slot = 0.5;
+    opt.k = 1.0;
+    const CertCounts k1 = expect_reference_certificate(
+        Instance::from_pairs(tiny), opt, describe("tiny", opt));
+    EXPECT_TRUE(k1.certified);
+    EXPECT_GT(k1.exact_arcs, 4u * kTinyJobs) << "no fallback arcs at m=" << m;
+    opt.k = 3.0;
+    const CertCounts k3 = expect_reference_certificate(
+        Instance::from_pairs(tiny), opt, describe("tiny", opt));
+    EXPECT_FALSE(k3.certified);
+    EXPECT_GT(k3.exact_arcs, 0u);
+
+    opt.slot = 40.0;
+    const CertCounts big = expect_reference_certificate(
+        Instance::from_pairs(batch), opt, describe("batch", opt));
+    EXPECT_TRUE(big.certified);
+    if (m == 1) {
+      EXPECT_GT(big.exact_arcs, big.arcs / 4) << "no Rational re-checks";
+    }
+    opt.slot = 0.5;
+    const CertCounts mixed = expect_reference_certificate(
+        Instance::from_pairs(busy_tiny), opt, describe("busy+tiny", opt));
+    EXPECT_FALSE(mixed.certified);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -220,6 +226,229 @@ TEST(MinCostFlow, PotentialsPriceEveryResidualArc) {
     }
     EXPECT_NEAR(r.flow, supply, 1e-9 * supply) << "trial " << trial;
     EXPECT_NEAR(total_cost, r.cost, 1e-9 * (1.0 + r.cost)) << "trial " << trial;
+  }
+}
+
+// --- Reference solver --------------------------------------------------------
+//
+// MinCostFlow::solve as it was with a lazy binary heap of (dist, node) pairs
+// (stale entries skipped on pop), on the same CSR layout.  The indexed heap
+// must reproduce its flows, potentials and counters bit for bit.
+namespace reference {
+
+struct Edge {
+  std::size_t tail, head;
+  double cap, cost;
+};
+
+struct Solved {
+  MinCostFlow::Result result;
+  std::vector<double> flow;
+  std::vector<double> potential;
+  std::uint64_t augmentations = 0;
+  std::uint64_t settled = 0;
+};
+
+Solved solve(std::size_t n, const std::vector<Edge>& edges, std::size_t s,
+             std::size_t t, double max_flow) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Arc {
+    double cap;
+    double cost;
+    std::uint32_t to;
+    std::uint32_t rev;
+  };
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const Edge& e : edges) {
+    ++first[e.tail + 1];
+    ++first[e.head + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<Arc> arcs(first[n]);
+  std::vector<std::size_t> fwd_arc;
+  {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (const Edge& e : edges) {
+      const std::size_t fwd = next[e.tail]++;
+      const std::size_t bwd = next[e.head]++;
+      arcs[fwd] = Arc{e.cap, e.cost, static_cast<std::uint32_t>(e.head),
+                      static_cast<std::uint32_t>(bwd)};
+      arcs[bwd] = Arc{0.0, -e.cost, static_cast<std::uint32_t>(e.tail),
+                      static_cast<std::uint32_t>(fwd)};
+      fwd_arc.push_back(fwd);
+    }
+  }
+  double max_cost = 0.0;
+  for (const Edge& e : edges) max_cost = std::max(max_cost, e.cost);
+  const double cost_eps = std::max(kFlowEps, 1e-12 * max_cost);
+
+  Solved out;
+  out.potential.assign(n, 0.0);
+  std::vector<double>& potential = out.potential;
+  std::vector<double> dist(n);
+  std::vector<std::size_t> prev_arc(n);
+  MinCostFlow::Result& result = out.result;
+  using QItem = std::pair<double, std::size_t>;
+  const std::greater<> heap_order;
+  std::vector<QItem> heap;
+
+  while (result.flow < max_flow - kFlowEps) {
+    ++out.augmentations;
+    std::fill(dist.begin(), dist.end(), kInf);
+    dist[s] = 0.0;
+    heap.clear();
+    heap.emplace_back(0.0, s);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), heap_order);
+      const auto [d, u] = heap.back();
+      heap.pop_back();
+      if (d > dist[u] + cost_eps) continue;
+      if (u == t) break;
+      ++out.settled;
+      for (std::size_t ai = first[u]; ai < first[u + 1]; ++ai) {
+        const Arc& a = arcs[ai];
+        if (a.cap <= kFlowEps) continue;
+        const double reduced =
+            std::max(a.cost + potential[u] - potential[a.to], 0.0);
+        const double nd = d + reduced;
+        if (nd < dist[a.to] - cost_eps) {
+          dist[a.to] = nd;
+          prev_arc[a.to] = ai;
+          heap.emplace_back(nd, a.to);
+          std::push_heap(heap.begin(), heap.end(), heap_order);
+        }
+      }
+    }
+    if (dist[t] == kInf) break;
+    for (std::size_t v = 0; v < n; ++v) {
+      potential[v] += std::min(dist[v], dist[t]);
+    }
+    double push = max_flow - result.flow;
+    for (std::size_t v = t; v != s; v = arcs[arcs[prev_arc[v]].rev].to) {
+      push = std::min(push, arcs[prev_arc[v]].cap);
+    }
+    if (push <= kFlowEps) break;
+    for (std::size_t v = t; v != s;) {
+      Arc& a = arcs[prev_arc[v]];
+      a.cap -= push;
+      arcs[a.rev].cap += push;
+      result.cost += push * a.cost;
+      v = arcs[a.rev].to;
+    }
+    result.flow += push;
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    out.flow.push_back(edges[i].cap - arcs[fwd_arc[i]].cap);
+  }
+  return out;
+}
+
+}  // namespace reference
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Solves `edges` with MinCostFlow and the reference; expects equal bits.
+void expect_matches_reference(std::size_t n,
+                              const std::vector<reference::Edge>& edges,
+                              std::size_t s, std::size_t t, double max_flow,
+                              const std::string& what) {
+  MinCostFlow g(n);
+  for (const reference::Edge& e : edges) {
+    (void)g.add_edge(e.tail, e.head, e.cap, e.cost);
+  }
+  obs::Sink counters;
+  MinCostFlow::Result r;
+  {
+    const obs::ScopedSink scope(&counters);
+    r = g.solve(s, t, max_flow);
+  }
+  const reference::Solved want = reference::solve(n, edges, s, t, max_flow);
+  EXPECT_EQ(bits(r.flow), bits(want.result.flow)) << what;
+  EXPECT_EQ(bits(r.cost), bits(want.result.cost)) << what;
+  EXPECT_EQ(counters.value("mcmf.augmentations"), want.augmentations) << what;
+  EXPECT_EQ(counters.value("mcmf.settled"), want.settled) << what;
+  std::size_t flow_diffs = 0;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    flow_diffs += bits(g.flow_on(i)) != bits(want.flow[i]);
+  }
+  EXPECT_EQ(flow_diffs, 0u) << what;
+  ASSERT_EQ(g.potentials().size(), n) << what;
+  std::size_t potential_diffs = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    potential_diffs += bits(g.potentials()[v]) != bits(want.potential[v]);
+  }
+  EXPECT_EQ(potential_diffs, 0u) << what;
+}
+
+TEST(MinCostFlow, MatchesLazyHeapReference) {
+  workload::Rng rng(1729);
+  // Random transportation graphs with parallel edges and costs drawn from a
+  // few integers, so equal distances -- and the (dist, node) tie-break --
+  // are common.
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t supplies = 2 + static_cast<std::size_t>(trial % 7);
+    const std::size_t demands = 3 + static_cast<std::size_t>(trial % 11);
+    const std::size_t sink = 1 + supplies + demands;
+    std::vector<reference::Edge> edges;
+    double supply = 0.0;
+    for (std::size_t i = 0; i < supplies; ++i) {
+      const double p = static_cast<double>(rng.uniform_int(1, 4));
+      supply += p;
+      edges.push_back({0, 1 + i, p, 0.0});
+    }
+    for (std::size_t i = 0; i < supplies; ++i) {
+      for (std::size_t d = 0; d < demands; ++d) {
+        const int copies = static_cast<int>(rng.uniform_int(0, 2));
+        for (int c = 0; c < copies; ++c) {
+          edges.push_back({1 + i, 1 + supplies + d,
+                           static_cast<double>(rng.uniform_int(1, 3)),
+                           static_cast<double>(rng.uniform_int(0, 3))});
+        }
+      }
+    }
+    for (std::size_t d = 0; d < demands; ++d) {
+      edges.push_back({1 + supplies + d, sink,
+                       static_cast<double>(rng.uniform_int(1, 3)), 0.0});
+    }
+    expect_matches_reference(sink + 1, edges, 0, sink, supply,
+                             "random trial " + std::to_string(trial));
+  }
+  // The flow-time LP's graph (source -> jobs -> every slot from the release
+  // on -> sink, slot capacity m * width, costs ((t - r)^k + p^k) / p) on
+  // Poisson instances at m = 1, 2, 4.
+  for (const int m : {1, 2, 4}) {
+    for (const double k : {1.0, 2.0, 3.0}) {
+      const std::size_t jobs = 40;
+      const double width = 0.5;
+      std::vector<std::pair<double, double>> rp;  // (release, size)
+      double release = 0.0;
+      double work = 0.0;
+      for (std::size_t j = 0; j < jobs; ++j) {
+        release += rng.uniform(0.0, 1.6 / m);
+        rp.emplace_back(release, rng.uniform(0.25, 2.0));
+        work += rp.back().second;
+      }
+      const std::size_t slots =
+          static_cast<std::size_t>((release + work / m) / width) + 2;
+      const std::size_t slot0 = 1 + jobs;
+      const std::size_t sink = slot0 + slots;
+      std::vector<reference::Edge> edges;
+      for (std::size_t s = 0; s < slots; ++s) {
+        edges.push_back({slot0 + s, sink, width * m, 0.0});
+      }
+      for (std::size_t j = 0; j < jobs; ++j) {
+        const auto [r, p] = rp[j];
+        edges.push_back({0, 1 + j, p, 0.0});
+        for (auto s = static_cast<std::size_t>(r / width); s < slots; ++s) {
+          const double wait = std::max(static_cast<double>(s) * width - r, 0.0);
+          edges.push_back({1 + j, slot0 + s, work + 1.0,
+                           (std::pow(wait, k) + std::pow(p, k)) / p});
+        }
+      }
+      expect_matches_reference(sink + 1, edges, 0, sink, work,
+                               "flow-time m=" + std::to_string(m) +
+                                   " k=" + std::to_string(k));
+    }
   }
 }
 
