@@ -375,8 +375,9 @@ Report run_fastpath_cases(const CaseOptions& options) {
   // The Section 3.1 LP (min-cost flow), its exact dual certificate and the
   // SRPT/SJF proxy runs, on standard_workloads' poisson-exp-0.9 family at
   // k=2.  The library's own counters split the run between the min-cost
-  // flow and the certificate repair, and give the share of job->slot arcs
-  // the certificate had to evaluate in Rational.
+  // flow and the certificate repair, count the arcs the flow's Dijkstra
+  // tested, and give the share of job->slot arcs the certificate had to
+  // evaluate in Rational.
   {
     const std::size_t n_lp = smoke ? 20 : 50;
     const std::vector<bench::NamedInstance> families =
@@ -405,6 +406,7 @@ Report run_fastpath_cases(const CaseOptions& options) {
     c.stats["certify_s"] = 1e-9 * per_solve("lpsolve.certify.ns");
     c.stats["augmentations"] = per_solve("mcmf.augmentations");
     c.stats["settled"] = per_solve("mcmf.settled");
+    c.stats["arc_scans"] = per_solve("mcmf.arc_scans");
     c.stats["exact_arc_share"] =
         static_cast<double>(counters.value("lpcert.flow.exact_arcs")) /
         static_cast<double>(counters.value("lpcert.flow.arcs"));

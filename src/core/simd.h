@@ -1,4 +1,5 @@
-// Portable data-parallel kernels for the engine's fused inner loops.
+// Portable data-parallel kernels for the engine's fused inner loops and the
+// min-cost-flow arc scan.
 //
 // This shim is the ONLY place in the tree allowed to include <immintrin.h>
 // (scripts/header_lint.sh enforces the confinement).  Each kernel has two
@@ -16,10 +17,12 @@
 // contract) and NO reassociation of per-element chains.  Horizontal
 // reductions are only used for min(), which is associative and commutative
 // over the non-NaN doubles the engine feeds it, so vector-lane order cannot
-// change the result.  FastForwardCore's fast/slow equivalence tests and
-// tests/core/simd_test.cpp hold both paths to this bit-for-bit.
+// change the result.  FastForwardCore's fast/slow equivalence tests,
+// MinCostFlow's reference test and tests/core/simd_test.cpp hold both paths
+// to this bit-for-bit.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 
@@ -92,6 +95,25 @@ inline void sub_product(double* remaining, const double* rates, std::size_t n,
     if (cdt < best) best = cdt;
   }
   return best;
+}
+
+/// Calls on_hit(i, label) in increasing i for every arc i < n with
+/// cap[i] > cap_eps and label = d + max((cost[i] + pu) - pot[i], 0) below
+/// dist[i] - eps: MinCostFlow's Dijkstra relaxation test over one run of
+/// arcs whose heads are consecutive nodes (pot and dist point at the run's
+/// first head).  on_hit may write dist[i] -- and only that -- for the i it
+/// is given.
+template <class OnHit>
+inline void for_each_improving_arc(const double* cap, const double* cost,
+                                   const double* pot, const double* dist,
+                                   std::size_t n, double pu, double d,
+                                   double eps, double cap_eps,
+                                   OnHit&& on_hit) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cap[i] <= cap_eps) continue;
+    const double label = d + std::max((cost[i] + pu) - pot[i], 0.0);
+    if (label < dist[i] - eps) on_hit(i, label);
+  }
 }
 
 }  // namespace scalar
@@ -192,6 +214,58 @@ inline void sub_product(double* remaining, const double* rates, std::size_t n,
   }
 #endif
   return scalar::min_ratio(remaining, rates, n);
+}
+
+/// MinCostFlow's arc scan (see scalar::for_each_improving_arc).  Four arcs
+/// are tested at once with the scalar test's operations in its order:
+/// `!(cap <= cap_eps)` is _CMP_NLE_UQ, and max(zero, x) returns x unless
+/// 0 > x, exactly as std::max(x, 0.0) does (-0.0 and NaN included).  The
+/// lanes' heads are distinct, so on_hit's write to dist[i] cannot change a
+/// later lane's test that was computed before it ran.
+template <class OnHit>
+inline void for_each_improving_arc(const double* cap, const double* cost,
+                                   const double* pot, const double* dist,
+                                   std::size_t n, double pu, double d,
+                                   double eps, double cap_eps,
+                                   OnHit&& on_hit) {
+#if defined(TEMPOFAIR_SIMD_AVX2)
+  if (!force_scalar()) {
+    const __m256d vpu = _mm256_set1_pd(pu);
+    const __m256d vd = _mm256_set1_pd(d);
+    const __m256d veps = _mm256_set1_pd(eps);
+    const __m256d vcap_eps = _mm256_set1_pd(cap_eps);
+    const __m256d zero = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m256d open =
+          _mm256_cmp_pd(_mm256_loadu_pd(cap + i), vcap_eps, _CMP_NLE_UQ);
+      const __m256d reduced = _mm256_sub_pd(
+          _mm256_add_pd(_mm256_loadu_pd(cost + i), vpu),
+          _mm256_loadu_pd(pot + i));
+      const __m256d label = _mm256_add_pd(vd, _mm256_max_pd(zero, reduced));
+      const __m256d better = _mm256_cmp_pd(
+          label, _mm256_sub_pd(_mm256_loadu_pd(dist + i), veps), _CMP_LT_OQ);
+      unsigned hits = static_cast<unsigned>(
+          _mm256_movemask_pd(_mm256_and_pd(open, better)));
+      if (hits == 0) continue;
+      alignas(32) double labels[4];
+      _mm256_store_pd(labels, label);
+      do {
+        const unsigned lane = static_cast<unsigned>(__builtin_ctz(hits));
+        on_hit(i + lane, labels[lane]);
+        hits &= hits - 1;
+      } while (hits != 0);
+    }
+    scalar::for_each_improving_arc(cap + i, cost + i, pot + i, dist + i, n - i,
+                                   pu, d, eps, cap_eps,
+                                   [&](std::size_t j, double label) {
+                                     on_hit(i + j, label);
+                                   });
+    return;
+  }
+#endif
+  scalar::for_each_improving_arc(cap, cost, pot, dist, n, pu, d, eps, cap_eps,
+                                 on_hit);
 }
 
 }  // namespace tempofair::simd

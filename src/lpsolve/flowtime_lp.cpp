@@ -59,16 +59,23 @@ Grid make_grid(const Instance& instance, const FlowtimeLpOptions& options) {
   // per unit time at speed 1); add one slot of padding.
   const double horizon =
       instance.horizon_bound(options.machines, 1.0) - g.t0;
-  g.slots = static_cast<std::size_t>(std::ceil(horizon / g.slot)) + 1;
+  const double slots = std::ceil(horizon / g.slot);
+  if (!(slots < 0x1p53)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "flowtime_lp: slot count is not finite or >= 2^53");
+  }
+  g.slots = static_cast<std::size_t>(slots) + 1;
   if (options.max_slots > 0) g.slots = std::min(g.slots, options.max_slots);
   if (g.slots == 0) throw std::invalid_argument("flowtime_lp: zero slots");
   return g;
 }
 
-/// Cost per unit of processing of job j in slot s (evaluated at slot start).
-double unit_cost(const Job& j, const Grid& g, std::size_t s, double k) {
+/// Cost per unit of processing of job j in slot s (evaluated at slot start);
+/// size_pow is pow(j.size, k), computed once per job.
+double unit_cost(const Job& j, const Grid& g, std::size_t s, double k,
+                 double size_pow) {
   const double t = std::max(g.slot_start(s) - j.release, 0.0);
-  return (std::pow(t, k) + std::pow(j.size, k)) / j.size;
+  return (std::pow(t, k) + size_pow) / j.size;
 }
 
 [[nodiscard]] bool lp_included(const Job& j) {
@@ -316,6 +323,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
     mcf.add_edge(kSource, kJob0 + j.id, j.size, 0.0);
     ++edges;
     const std::size_t first = g.first_slot_for(j.release);
+    const double size_pow = std::pow(j.size, options.k);
     for (std::size_t s = first; s < g.slots; ++s) {
       // The slot->sink edge already caps how much any slot absorbs (the LP of
       // the paper lets a job run on several machines simultaneously), so the
@@ -324,7 +332,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
       // final potentials, which would break the transportation-dual reading
       // (alpha_j - beta_t <= c_jt, tight on flow-carrying arcs) that
       // certify_flowtime_dual builds the exact certificate from.
-      costs.push_back(unit_cost(j, g, s, options.k));
+      costs.push_back(unit_cost(j, g, s, options.k, size_pow));
       mcf.add_edge(kJob0 + j.id, kSlot0 + s, included_work + 1.0,
                    costs.back());
       ++edges;
@@ -345,6 +353,22 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   out.certificate = certify_flowtime_dual(included, g, options, costs, mcf,
                                           kSlot0, kSink, slot_edge);
   return out;
+}
+
+std::size_t flowtime_lp_num_vars(const Instance& instance,
+                                 const FlowtimeLpOptions& options) {
+  const Grid g = make_grid(instance, options);
+  std::size_t vars = 0;
+  for (const Job& j : instance.jobs()) {
+    if (!lp_included(j)) continue;
+    require_slot_for(j, g);
+    const std::size_t job_vars = g.slots - g.first_slot_for(j.release);
+    if (job_vars > std::numeric_limits<std::size_t>::max() - vars) {
+      return std::numeric_limits<std::size_t>::max();
+    }
+    vars += job_vars;
+  }
+  return vars;
 }
 
 LinearProgram build_flowtime_lp(const Instance& instance,
@@ -373,9 +397,10 @@ LinearProgram build_flowtime_lp(const Instance& instance,
   for (std::size_t j = 0; j < n; ++j) {
     if (!incl[j]) continue;
     const Job& job = instance.job(static_cast<JobId>(j));
+    const double size_pow = std::pow(job.size, options.k);
     for (std::size_t s = first_slot[j]; s < g.slots; ++s) {
       lp.objective[var_base[j] + (s - first_slot[j])] =
-          unit_cost(job, g, s, options.k);
+          unit_cost(job, g, s, options.k, size_pow);
     }
   }
   // sum_t x_{jt} >= p_j

@@ -56,6 +56,13 @@ struct FlowtimeLpResult {
 [[nodiscard]] FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
                                                  const FlowtimeLpOptions& options);
 
+/// Number of variables build_flowtime_lp() would create (saturating at
+/// SIZE_MAX), computed without allocating any of them, so callers can refuse
+/// an oversized dense LP up front.  Throws what build_flowtime_lp() throws
+/// for a grid it cannot build.
+[[nodiscard]] std::size_t flowtime_lp_num_vars(
+    const Instance& instance, const FlowtimeLpOptions& options);
+
 /// Builds the identical LP as a dense LinearProgram (variables x_{jt} in
 /// job-major order, only t >= r_j slots materialized) for the simplex
 /// cross-check.  Only sensible for tiny instances.

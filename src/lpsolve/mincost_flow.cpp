@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/simd.h"
 #include "obs/obs.h"
 
 namespace tempofair::lpsolve {
@@ -50,20 +51,20 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
   const std::size_t n = num_nodes_;
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // CSR residual arcs: node v's arcs are arcs[first[v] .. first[v + 1]).
-  struct Arc {
-    double cap;  // residual capacity
-    double cost;
-    Index to;
-    Index rev;  // index of the reverse arc
-  };
+  // CSR residual arcs, stored as four parallel arrays: node v's arcs are
+  // [first[v], first[v + 1]), arc a runs to head[a] with residual capacity
+  // cap[a] and cost cost[a], and rev[a] is its reverse arc.
   std::vector<std::size_t> first(n + 1, 0);
   for (const Edge& e : edges_) {
     ++first[e.tail + 1];
     ++first[e.head + 1];
   }
   for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
-  std::vector<Arc> arcs(first[n]);
+  const std::size_t num_arcs = first[n];
+  std::vector<double> cap(num_arcs);
+  std::vector<double> cost(num_arcs);
+  std::vector<Index> head(num_arcs);
+  std::vector<Index> rev(num_arcs);
   // Calls f(edge, forward arc, reverse arc) for every edge in handle order.
   const auto for_each_edge = [&](auto&& f) {
     std::vector<std::size_t> next(first.begin(), first.end() - 1);
@@ -73,9 +74,33 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
     }
   };
   for_each_edge([&](const Edge& e, std::size_t fwd, std::size_t bwd) {
-    arcs[fwd] = Arc{e.cap, e.cost, e.head, static_cast<Index>(bwd)};
-    arcs[bwd] = Arc{0.0, -e.cost, e.tail, static_cast<Index>(fwd)};
+    cap[fwd] = e.cap;
+    cost[fwd] = e.cost;
+    head[fwd] = e.head;
+    rev[fwd] = static_cast<Index>(bwd);
+    cap[bwd] = 0.0;
+    cost[bwd] = -e.cost;
+    head[bwd] = e.tail;
+    rev[bwd] = static_cast<Index>(fwd);
   });
+  // Runs: each node's arcs cut into maximal stretches whose heads are
+  // consecutive node ids, so one run's pot and dist entries are contiguous.
+  // Run r is [run_begin[r], run_begin[r + 1]); node v's runs are
+  // [run_first[v], run_first[v + 1]).  In the flow-time graph nearly every
+  // arc sits in a long run (source -> jobs, job -> slots, slot -> earlier
+  // jobs' reverse arcs).
+  std::vector<Index> run_first(n + 1);
+  std::vector<Index> run_begin;
+  for (std::size_t v = 0; v < n; ++v) {
+    run_first[v] = static_cast<Index>(run_begin.size());
+    for (std::size_t a = first[v]; a < first[v + 1]; ++a) {
+      if (a == first[v] || head[a] != head[a - 1] + 1) {
+        run_begin.push_back(static_cast<Index>(a));
+      }
+    }
+  }
+  run_first[n] = static_cast<Index>(run_begin.size());
+  run_begin.push_back(static_cast<Index>(num_arcs));
 
   // Tolerances must scale with the cost magnitude: with costs spanning many
   // orders of magnitude (the flow-time LP's k-th-power costs do), fixed
@@ -142,9 +167,10 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
     return top;
   };
 
-  const std::size_t max_augmentations = 100 * (arcs.size() + n) + 1000;
+  const std::size_t max_augmentations = 100 * (num_arcs + n) + 1000;
   std::size_t augmentations = 0;
   std::size_t settled = 0;
+  std::size_t arc_scans = 0;
 
   while (result.flow < max_flow - kFlowEps) {
     if (++augmentations > max_augmentations) {
@@ -165,25 +191,29 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
       if (u == t) break;
       ++settled;
       const double d = dist[u];
-      for (std::size_t ai = first[u]; ai < first[u + 1]; ++ai) {
-        const Arc& a = arcs[ai];
-        if (a.cap <= kFlowEps) continue;
-        // Clamp tiny negative reduced costs (float noise) to preserve
-        // Dijkstra's monotonicity invariant.
-        const double reduced =
-            std::max(a.cost + potential[u] - potential[a.to], 0.0);
-        const double nd = d + reduced;
-        if (nd < dist[a.to] - cost_eps) {
-          Index at = heap_pos[a.to];
-          if (at == kSettled) {
-            throw std::logic_error(
-                "MinCostFlow::solve: a settled node's distance improved");
-          }
-          if (at == kUnreached) at = static_cast<Index>(heap_size++);
-          dist[a.to] = nd;
-          prev_arc[a.to] = ai;
-          sift_up(at, HeapEntry{nd, a.to});
-        }
+      arc_scans += first[u + 1] - first[u];
+      // Relax every open arc whose (clamped) reduced cost improves its
+      // head's label by more than cost_eps.  Reduced costs are clamped at 0:
+      // tiny negative values are float noise, and the clamp preserves
+      // Dijkstra's monotonicity invariant.
+      for (std::size_t r = run_first[u]; r < run_first[u + 1]; ++r) {
+        const std::size_t a0 = run_begin[r];
+        const Index h0 = head[a0];
+        simd::for_each_improving_arc(
+            cap.data() + a0, cost.data() + a0, potential.data() + h0,
+            dist.data() + h0, run_begin[r + 1] - a0, potential[u], d, cost_eps,
+            kFlowEps, [&](std::size_t i, double nd) {
+              const Index v = h0 + static_cast<Index>(i);
+              Index at = heap_pos[v];
+              if (at == kSettled) {
+                throw std::logic_error(
+                    "MinCostFlow::solve: a settled node's distance improved");
+              }
+              if (at == kUnreached) at = static_cast<Index>(heap_size++);
+              dist[v] = nd;
+              prev_arc[v] = a0 + i;
+              sift_up(at, HeapEntry{nd, v});
+            });
       }
     }
     if (dist[t] == kInf) break;  // no augmenting path left
@@ -198,27 +228,28 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
 
     // Bottleneck along the path (an arc's tail is its reverse arc's head).
     double push = max_flow - result.flow;
-    for (std::size_t v = t; v != s; v = arcs[arcs[prev_arc[v]].rev].to) {
-      push = std::min(push, arcs[prev_arc[v]].cap);
+    for (std::size_t v = t; v != s; v = head[rev[prev_arc[v]]]) {
+      push = std::min(push, cap[prev_arc[v]]);
     }
     if (push <= kFlowEps) break;  // numerically exhausted
 
     for (std::size_t v = t; v != s;) {
-      Arc& a = arcs[prev_arc[v]];
-      a.cap -= push;
-      arcs[a.rev].cap += push;
-      result.cost += push * a.cost;
-      v = arcs[a.rev].to;
+      const std::size_t a = prev_arc[v];
+      cap[a] -= push;
+      cap[rev[a]] += push;
+      result.cost += push * cost[a];
+      v = head[rev[a]];
     }
     result.flow += push;
   }
 
   flow_.reserve(edges_.size());
   for_each_edge([&](const Edge& e, std::size_t fwd, std::size_t) {
-    flow_.push_back(e.cap - arcs[fwd].cap);
+    flow_.push_back(e.cap - cap[fwd]);
   });
   obs::add("mcmf.augmentations", augmentations);
   obs::add("mcmf.settled", settled);
+  obs::add("mcmf.arc_scans", arc_scans);
   return result;
 }
 

@@ -11,12 +11,19 @@
 // list.  solve() lays the edges out once as CSR residual arcs -- for every
 // edge, in add_edge order, a forward arc at the tail and a reverse arc at the
 // head -- so each node's arcs, and hence Dijkstra's tie-breaks, follow the
-// order the edges were added in.  Each Dijkstra stops as soon as it pops the
-// sink: the potential update caps every distance at dist[t], so nodes it
-// never settled get exactly the value a full Dijkstra would give them.
+// order the edges were added in.  The arcs are stored as parallel arrays
+// (cap, cost, head, rev), and each node's arcs are cut into maximal runs of
+// consecutive heads; simd::for_each_improving_arc tests a whole run against
+// contiguous potentials and labels, with the scalar relaxation test's exact
+// operations, and relaxes the hits in arc order.  Each Dijkstra stops as
+// soon as it pops the sink: the potential update caps every distance at
+// dist[t], so nodes it never settled get exactly the value a full Dijkstra
+// would give them.
 // Dijkstra's queue is an indexed 4-ary heap ordered by (dist[v], v), with
 // one entry per reached node and decrease-key; it pops the same nodes in the
-// same order as a lazy heap of (dist, node) pairs (see solve()).
+// same order as a lazy heap of (dist, node) pairs (see solve()).  solve()
+// counts "mcmf.augmentations", "mcmf.settled" and "mcmf.arc_scans" (arcs
+// tested).
 #pragma once
 
 #include <cstddef>
@@ -64,7 +71,8 @@ class MinCostFlow {
   [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
 
  private:
-  // 32-bit node and arc indices keep edges and arcs at 24 bytes each.
+  // 32-bit node and arc indices keep edges at 24 bytes and arcs at 24 bytes
+  // across solve()'s four arc arrays.
   using Index = std::uint32_t;
 
   struct Edge {

@@ -136,9 +136,16 @@ CertifiedEval evaluate_certified(const Instance& instance,
   lp_options.machines = options.machines;
   lp_options.slot = slot;
   try {
-    const lpsolve::LinearProgram lp =
-        lpsolve::build_flowtime_lp(instance, lp_options);
-    if (lp.num_vars() > 0 && lp.num_vars() <= kMaxLpVars) {
+    // Size the LP from its grid before building it: a record's lp_slot is
+    // untrusted input, and the dense builder allocates num_vars doubles per
+    // row.
+    const std::size_t vars =
+        lpsolve::flowtime_lp_num_vars(instance, lp_options);
+    if (vars > kMaxLpVars) {
+      obs::add("search.certify.oversized_lp", 1);
+    } else if (vars > 0) {
+      const lpsolve::LinearProgram lp =
+          lpsolve::build_flowtime_lp(instance, lp_options);
       const lpsolve::LpSolution sol = lpsolve::solve_lp(lp);
       if (sol.status == lpsolve::SolveStatus::kOptimal) {
         const lpsolve::CertifiedBound cert = lpsolve::verify_certificate(lp, sol);

@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "workload/rng.h"
@@ -125,6 +128,132 @@ TEST(SimdKernels, MinRatioAllZeroRatesIsInfinite) {
             __builtin_inf());
   EXPECT_EQ(simd::min_ratio(rem.data(), rates.data(), 0),
             __builtin_inf());
+}
+
+// Hits of for_each_improving_arc as (index, label bits), with dist[i] set to
+// the label as MinCostFlow's relaxation does.
+using ArcHits = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
+struct ArcColumns {
+  std::vector<double> cap, cost, pot, dist;
+};
+
+template <class Scan>
+ArcHits scan_hits(ArcColumns& c, std::size_t offset, std::size_t n, double pu,
+                  double d, double eps, double cap_eps, Scan&& scan) {
+  ArcHits hits;
+  double* dist = c.dist.data() + offset;
+  scan(c.cap.data() + offset, c.cost.data() + offset, c.pot.data() + offset,
+       dist, n, pu, d, eps, cap_eps, [&](std::size_t i, double label) {
+         hits.emplace_back(i, std::bit_cast<std::uint64_t>(label));
+         dist[i] = label;
+       });
+  return hits;
+}
+
+TEST(SimdKernels, ImprovingArcScanMatchesReference) {
+  constexpr double kCapEps = 1e-9;
+  constexpr double kEps = 0x1p-10;  // dyadic, so dist - eps can be exact
+  const double inf = __builtin_inf();
+  workload::Rng rng(kSeed + 4);
+  std::size_t total_hits = 0;
+  std::size_t boundary_lanes = 0;
+  std::size_t negative_zero_labels = 0;
+  for (std::size_t n = 0; n <= 13; ++n) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (int trial = 0; trial < 40; ++trial) {
+        // trial % 4 == 3 runs with pu = d = -0.0: a reduced cost of
+        // (-0.0 + -0.0) - 0.0 = -0.0 then yields the label -0.0 only if the
+        // clamp keeps -0.0 as std::max(x, 0.0) does.
+        const bool negative_zero = trial % 4 == 3;
+        const double pu = negative_zero ? -0.0 : rng.uniform(0.0, 4.0);
+        const double d = negative_zero ? -0.0 : 0.25 * rng.uniform_int(0, 8);
+        ArcColumns c;
+        const std::size_t len = offset + n;
+        c.cap.resize(len);
+        c.cost.resize(len);
+        c.pot.resize(len);
+        c.dist.resize(len);
+        for (std::size_t j = 0; j < len; ++j) {
+          c.cap[j] = rng.uniform(0.0, 2.0);
+          c.cost[j] = rng.uniform(0.0, 3.0);
+          c.pot[j] = rng.uniform(0.0, 6.0);
+          c.dist[j] = rng.uniform(0.0, 8.0);
+          // trial % 4 == 2: every lane open and unreached, so every lane
+          // hits.
+          if (trial % 4 == 2) {
+            c.cap[j] = 1.0;
+            c.dist[j] = inf;
+            continue;
+          }
+          const std::int64_t kind = rng.uniform_int(0, 9);
+          switch (kind) {
+            case 0:
+              c.cap[j] = kCapEps;  // saturated: closed
+              c.dist[j] = inf;
+              break;
+            case 1:
+              c.cap[j] = std::nextafter(kCapEps, inf);  // open
+              c.dist[j] = inf;
+              break;
+            case 2:
+              c.cap[j] = __builtin_nan("");  // !(NaN <= eps): open
+              c.dist[j] = inf;
+              break;
+            case 3:  // reduced cost exactly +0 (or -0 below)
+              c.cost[j] = negative_zero ? -0.0 : 0.5 * rng.uniform_int(0, 4);
+              c.pot[j] = negative_zero ? 0.0 : c.cost[j] + pu;
+              c.dist[j] = inf;
+              break;
+            case 4:  // tiny negative reduced cost, clamped to 0
+              c.pot[j] = std::nextafter(c.cost[j] + pu, inf);
+              c.dist[j] = inf;
+              break;
+            case 5:  // label exactly at dist - eps: no hit
+            case 6:  // one ULP above: a hit
+              c.cost[j] = 0.5 * rng.uniform_int(0, 4);
+              c.pot[j] = 0.0;
+              if (!negative_zero) {
+                const double label = d + std::max(c.cost[j] + pu, 0.0);
+                c.dist[j] = label + kEps;
+                if (c.dist[j] - kEps != label) break;  // not exact
+                ++boundary_lanes;
+                if (kind == 6) c.dist[j] = std::nextafter(c.dist[j], inf);
+              }
+              break;
+            default:
+              break;
+          }
+        }
+        ArcColumns vec = c;
+        ArcColumns ref = c;
+        const auto vector_scan = [](auto&&... args) {
+          simd::for_each_improving_arc(args...);
+        };
+        const auto scalar_scan = [](auto&&... args) {
+          simd::scalar::for_each_improving_arc(args...);
+        };
+        const ArcHits got =
+            scan_hits(vec, offset, n, pu, d, kEps, kCapEps, vector_scan);
+        const ArcHits want =
+            scan_hits(ref, offset, n, pu, d, kEps, kCapEps, scalar_scan);
+        EXPECT_EQ(got, want) << "n=" << n << " offset=" << offset
+                             << " trial=" << trial;
+        expect_bitwise_equal(vec.dist, ref.dist, "for_each_improving_arc");
+        if (trial % 4 == 2) {
+          EXPECT_EQ(want.size(), n) << "every lane must hit";
+        }
+        total_hits += want.size();
+        for (const auto& hit : want) {
+          negative_zero_labels +=
+              hit.second == std::bit_cast<std::uint64_t>(-0.0);
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_hits, 0u);
+  EXPECT_GT(boundary_lanes, 0u);
+  EXPECT_GT(negative_zero_labels, 0u);
 }
 
 TEST(SimdKernels, ConfigIsConsistent) {

@@ -199,6 +199,37 @@ TEST(FlowtimeLp, BuildRejectsJobReleasedAfterCappedGrid) {
   }
 }
 
+TEST(FlowtimeLp, NumVarsMatchesBuilder) {
+  // Job 1 is below kMinLpJobSize and gets no variables.
+  const std::vector<std::pair<Time, Work>> pairs{
+      {0.0, 2.0}, {0.5, 1e-13}, {1.25, 1.0}, {3.0, 0.5}};
+  const Instance inst = Instance::from_pairs(pairs);
+  FlowtimeLpOptions opt;
+  for (const double slot : {0.25, 0.5, 1.0}) {
+    opt.slot = slot;
+    EXPECT_EQ(flowtime_lp_num_vars(inst, opt),
+              build_flowtime_lp(inst, opt).num_vars())
+        << "slot " << slot;
+  }
+}
+
+TEST(FlowtimeLp, RejectsSlotCountBeyondDoublePrecision) {
+  // horizon / slot = 1e300 slots: casting that to size_t would be undefined
+  // behaviour, so the grid is refused before anything is sized from it.
+  const Instance inst = Instance::batch(std::vector<Work>{1.0});
+  FlowtimeLpOptions opt;
+  // The horizon bound is 2: 2^52 + 1 slots are counted, never allocated,
+  // and 2^53 + 1 are refused.
+  opt.slot = 0x1p-51;
+  EXPECT_EQ(flowtime_lp_num_vars(inst, opt), (std::size_t{1} << 52) + 1);
+  opt.slot = 0x1p-52;
+  EXPECT_THROW((void)flowtime_lp_num_vars(inst, opt), std::invalid_argument);
+  opt.slot = 1e-300;
+  EXPECT_THROW((void)flowtime_lp_num_vars(inst, opt), std::invalid_argument);
+  EXPECT_THROW((void)build_flowtime_lp(inst, opt), std::invalid_argument);
+  EXPECT_THROW((void)solve_flowtime_lp(inst, opt), std::invalid_argument);
+}
+
 TEST(FlowtimeLp, LateReleaseShiftsCosts) {
   // A job released at t=5 must not be charged for waiting before 5.
   const Instance early = Instance::batch(std::vector<Work>{1.0}, 0.0);

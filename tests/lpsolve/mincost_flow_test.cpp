@@ -413,6 +413,57 @@ TEST(MinCostFlow, MatchesLazyHeapReference) {
     expect_matches_reference(sink + 1, edges, 0, sink, supply,
                              "random trial " + std::to_string(trial));
   }
+  // Graphs built to cut MinCostFlow's runs of consecutive heads in every
+  // way: each supply's arcs go to demands in ascending or descending order,
+  // with runs of 1-9 heads, a repeated head (a parallel edge) or a skipped
+  // one, and capacities small enough that arcs saturate in the middle of a
+  // run.
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t supplies = 2 + static_cast<std::size_t>(trial % 5);
+    const std::size_t demands = 12;
+    const std::size_t demand0 = 1 + supplies;
+    const std::size_t sink = demand0 + demands;
+    std::vector<reference::Edge> edges;
+    double supply = 0.0;
+    for (std::size_t i = 0; i < supplies; ++i) {
+      const double p = static_cast<double>(rng.uniform_int(2, 6));
+      supply += p;
+      edges.push_back({0, 1 + i, p, 0.0});
+    }
+    for (std::size_t i = 0; i < supplies; ++i) {
+      const bool descending = (trial + static_cast<int>(i)) % 3 == 0;
+      const auto len = static_cast<std::size_t>(rng.uniform_int(1, 9));
+      auto d = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(demands - len)));
+      if (descending) d += len - 1;
+      for (std::size_t a = 0; a < len; ++a) {
+        edges.push_back({1 + i, demand0 + d,
+                         static_cast<double>(rng.uniform_int(1, 2)),
+                         static_cast<double>(rng.uniform_int(0, 3))});
+        switch (rng.uniform_int(0, 5)) {
+          case 0:  // parallel edge: the same head twice in a row
+            edges.push_back({1 + i, demand0 + d, 1.0,
+                             static_cast<double>(rng.uniform_int(0, 3))});
+            break;
+          case 1:  // gap: skip a head
+            if (descending ? d >= 2 : d + 2 < demands) {
+              d = descending ? d - 1 : d + 1;
+            }
+            break;
+          default:
+            break;
+        }
+        if (descending ? d == 0 : d + 1 == demands) break;
+        d = descending ? d - 1 : d + 1;
+      }
+    }
+    for (std::size_t d = 0; d < demands; ++d) {
+      edges.push_back({demand0 + d, sink,
+                       static_cast<double>(rng.uniform_int(1, 4)), 0.0});
+    }
+    expect_matches_reference(sink + 1, edges, 0, sink, supply,
+                             "run trial " + std::to_string(trial));
+  }
   // The flow-time LP's graph (source -> jobs -> every slot from the release
   // on -> sink, slot capacity m * width, costs ((t - r)^k + p^k) / p) on
   // Poisson instances at m = 1, 2, 4.

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/obs.h"
 #include "search/record.h"
 
 namespace tempofair::search {
@@ -124,6 +125,23 @@ TEST(AdversarySearch, TamperedRecordFailsVerification) {
   AdversaryRecord bad_slot = res.best;
   bad_slot.lp_slot = 0.0;  // cannot rebuild the certificate's grid
   EXPECT_FALSE(verify_record(bad_slot).ok);
+
+  // A fine lp_slot asks for a dense LP far above the variable cap: it must
+  // be refused from the grid alone, before any row is allocated, leaving the
+  // trivial bound (whose ratio does not match the record's).
+  AdversaryRecord fine_slot = res.best;
+  fine_slot.lp_slot = 0.01;
+  obs::Sink counters;
+  {
+    const obs::ScopedSink scope(&counters);
+    EXPECT_FALSE(verify_record(fine_slot).ok);
+  }
+  EXPECT_EQ(counters.value("search.certify.oversized_lp"), 1u);
+
+  // A slot count beyond 2^53 cannot even be converted to an integer.
+  AdversaryRecord absurd_slot = res.best;
+  absurd_slot.lp_slot = 1e-300;
+  EXPECT_FALSE(verify_record(absurd_slot).ok);
 }
 
 TEST(AdversarySearch, MatchesOrBeatsHandBuiltBaseline) {
