@@ -186,28 +186,29 @@ class FastForwardCore {
                     const PolicyInvariantTraits& traits);
 
   // Alive set: parallel arrays sorted by job id (trace rows want id order).
-  // kUniformShare maintains ids_ only when a trace is recorded and leaves
-  // the other four untouched; its primary storage is the ord_* arrays.
+  // kUniformShare and the ranked kinds (kEqualAttained / kLevelPriority)
+  // maintain ids_ only when a trace is recorded and leave the other four
+  // untouched; their primary storage is the ord_* arrays and ranked_.
   std::vector<JobId> ids_;
   std::vector<Work> rem_;
   std::vector<Work> size_;
   std::vector<Time> release_;
   std::vector<double> weight_;
-  /// Attained service, maintained with the generic loop's exact per-job
-  /// arithmetic; only kept for the attained-dependent rule kinds
-  /// (kEqualAttained / kLevelPriority -- kLatestArrival rides along so all
-  /// three share one code path).
+  /// kLatestArrival: attained service, maintained with the generic loop's
+  /// exact per-job arithmetic for the attained-accounting invariant.
   std::vector<Work> attained_;
   /// Alive ids sorted by the policy's completion/priority key: remaining
   /// work DESCENDING for kUniformShare (parallel to ord_rem_/ord_thr_),
-  /// priority order for kTopPriority.
+  /// priority order for kTopPriority; the ranked kinds' invariant-epoch
+  /// job column.
   std::vector<JobId> order_;
   /// kUniformShare: remaining work, descending (next completer at back).
   std::vector<Work> ord_rem_;
   /// kUniformShare: per-job completion threshold kRelEps*size + kAbsEps,
   /// parallel to ord_rem_.
   std::vector<Work> ord_thr_;
-  /// Per-alive rates in id order (kTopPriority trace rows).
+  /// Per-alive rates in id order (trace rows of the kinds that advance only
+  /// the running jobs; kLatestArrival's rule output).
   std::vector<double> rates_;
   std::vector<JobId> completing_;
   /// Ids of alive jobs admitted already under their completion threshold
@@ -216,10 +217,24 @@ class FastForwardCore {
   /// kQuantumRR: the replicated ready queue (rotation order), mirroring
   /// QuantumRoundRobin::queue_ event for event.
   std::deque<JobId> rr_queue_;
-  /// Shared-rule scratch (core/share_rules.h) for the SETF/LAPS/MLFQ
-  /// kernels; buffers only, reused across events and runs.
-  share_rules::SetfScratch setf_scratch_;
-  share_rules::MlfqScratch mlfq_scratch_;
+  /// kEqualAttained / kLevelPriority: one alive job, keyed by SETF's
+  /// (attained, id) or MLFQ's (level, release, id).
+  struct RankedJob {
+    Work attained;
+    Work remaining;
+    Work size;
+    Time release;
+    JobId id;
+    int level;  ///< MLFQ level of `attained`; refreshed whenever it changes
+  };
+  /// kEqualAttained / kLevelPriority primary storage: the alive jobs in
+  /// priority order, WORST first, so the running jobs are the back.
+  std::vector<RankedJob> ranked_;
+  /// Rates of the running jobs, best first (ranked_'s back, reversed).
+  std::vector<double> run_rates_;
+  /// kLevelPriority: the thresholds of the run's (base, growth).
+  share_rules::MlfqThresholds mlfq_thresholds_;
+  /// kLatestArrival scratch for share_rules::laps_rates.
   std::vector<std::size_t> laps_idx_;
   /// Per-run invariant battery (core/invariants.h), reused across runs.
   InvariantSet inv_;

@@ -16,11 +16,11 @@
 //
 // What the kernel does NOT do is compress the per-event remaining-work
 // update itself: a chain of individually rounded subtractions has no closed
-// form that reproduces the same bits, so the advance stays O(alive) per
-// event.  The win is structural -- no policy virtual call, no RateDecision
-// allocation, no rate validation pass, no completion-candidate scan, no
-// policy-facing view maintenance per event -- plus the streaming arrival
-// path that never materializes the instance.
+// form that reproduces the same bits, so every job with a positive rate is
+// advanced every event.  The win is structural -- no policy virtual call,
+// no RateDecision allocation, no rate validation pass, no
+// completion-candidate scan, no policy-facing view maintenance per event --
+// plus the streaming arrival path that never materializes the instance.
 //
 // Data layout (kUniformShare): the remaining-sorted order is the PRIMARY
 // storage -- three parallel arrays (ord_rem_, ord_thr_, order_) sorted by
@@ -31,6 +31,21 @@
 // trace-off RR run touches no id-sorted state at all.  kTopPriority and
 // kWeightedShare keep the id-sorted arrays primary (their rates/trace
 // rows are per-job anyway) with order_ as an id-indirected priority order.
+//
+// Data layout (kEqualAttained, kLevelPriority): the priority order is the
+// primary storage -- one RankedJob record per alive job in ranked_, sorted
+// WORST first, so the running jobs are the back of the array, new jobs
+// (attained 0, level 0) insert near the back, and completions erase there.
+// The key is SETF's (attained, id) or MLFQ's (level, release, id) from
+// core/share_rules.h.  Both are strict total orders, so the kept order IS
+// the permutation the policies' sort produces, and share_rules::setf_grant
+// / mlfq_select read the same k-th job either way.  Only the running jobs'
+// attained (and MLFQ level) change in an advance (F3 keeps every other job's
+// bits), so after an advance only those few are re-placed, by insertion
+// from the left.  Per event the kernel touches the running jobs only: the
+// grant/select, the earliest-completion min, the advance, the completion
+// test and the re-placement are all O(running), and the dense rate row
+// exists only for trace rows and due invariant epochs.
 //
 // Completion detection is exact, not windowed: after an advance the kernel
 // tests `rem <= kRelEps*size + kAbsEps` -- the generic loop's final test --
@@ -290,6 +305,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   completing_.clear();
   degen_ids_.clear();
   rr_queue_.clear();
+  ranked_.clear();
 
   // kQuantumRR: the replicated QuantumRoundRobin phase state (see
   // policies/quantum_rr.cpp -- every transition below mirrors its rates()
@@ -301,16 +317,43 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   bool qphase_started = false;
 
   const bool uniform = ff.kind == FastForwardKind::kUniformShare;
-  // The shared-rule kinds (core/share_rules.h): rates are a pure function
-  // of the (attained, release) columns, evaluated per event by the very
-  // template the policy's rates() instantiates.  All three keep the
-  // id-sorted arrays primary plus the attained_ column.
-  const bool rule_kind = kind == FastForwardKind::kEqualAttained ||
-                         kind == FastForwardKind::kLatestArrival ||
-                         kind == FastForwardKind::kLevelPriority;
-  // kUniformShare keeps only the ord_* arrays hot; the id-sorted alive list
-  // exists purely to emit id-ordered trace rows.
-  const bool keep_ids = !uniform || options.record_trace;
+  // kLatestArrival evaluates share_rules::laps_rates, the very template the
+  // policy's rates() instantiates, over the id-sorted arrays plus the
+  // attained_ column the invariant battery audits.
+  const bool laps = kind == FastForwardKind::kLatestArrival;
+  // kEqualAttained / kLevelPriority keep ranked_ (see the layout note at
+  // the top of this file).
+  const bool ranked = kind == FastForwardKind::kEqualAttained ||
+                      kind == FastForwardKind::kLevelPriority;
+  const bool setf = kind == FastForwardKind::kEqualAttained;
+  // kUniformShare and the ranked kinds keep their own primary layout; the
+  // id-sorted alive list then exists purely to emit id-ordered trace rows.
+  const bool keep_ids = !(uniform || ranked) || options.record_trace;
+  if (kind == FastForwardKind::kLevelPriority) {
+    mlfq_thresholds_.reset(ff.mlfq_base, ff.mlfq_growth);
+  }
+
+  // ranked_ is sorted by `worse` ascending: the best job sits at the back.
+  auto worse = [setf](const RankedJob& a, const RankedJob& b) {
+    return setf ? share_rules::setf_before(b.attained, b.id, a.attained, a.id)
+                : share_rules::mlfq_before(b.level, b.release, b.id, a.level,
+                                           a.release, a.id);
+  };
+  // The k-th best alive job (k = 0 is the best).
+  auto best = [&](std::size_t k) -> RankedJob& {
+    return ranked_[ranked_.size() - 1 - k];
+  };
+  // Restores ranked_'s order after the jobs in [lo, hi) changed keys, each
+  // only toward worse (attained and level never decrease): insertion from
+  // the left, so every job it reaches has a sorted prefix to search.
+  auto replace_ranked = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = std::max<std::size_t>(lo, 1); j < hi; ++j) {
+      const auto at = ranked_.begin() + static_cast<std::ptrdiff_t>(j);
+      if (!worse(*at, *(at - 1))) continue;
+      std::rotate(std::upper_bound(ranked_.begin(), at, *at, worse), at,
+                  at + 1);
+    }
+  };
 
   // Position of `id` in the id-sorted alive arrays.
   auto pos_of = [&](JobId id) -> std::size_t {
@@ -348,12 +391,12 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
       if (keep_ids) {
         const auto p = static_cast<std::ptrdiff_t>(pos_of(j.id));
         ids_.insert(ids_.begin() + p, j.id);
-        if (!uniform) {
+        if (!uniform && !ranked) {
           rem_.insert(rem_.begin() + p, j.size);
           size_.insert(size_.begin() + p, j.size);
           release_.insert(release_.begin() + p, j.release);
           weight_.insert(weight_.begin() + p, j.weight);
-          if (rule_kind) attained_.insert(attained_.begin() + p, 0.0);
+          if (laps) attained_.insert(attained_.begin() + p, 0.0);
         }
       }
       max_size_admitted = std::max(max_size_admitted, j.size);
@@ -382,6 +425,11 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
         order_.insert(it, j.id);
       } else if (kind == FastForwardKind::kQuantumRR) {
         rr_queue_.push_back(j.id);  // mirrors QuantumRoundRobin::on_arrival
+      } else if (ranked) {
+        const RankedJob r{0.0,       j.size, j.size, j.release, j.id,
+                          setf ? 0 : mlfq_thresholds_.level_of(0.0)};
+        ranked_.insert(
+            std::upper_bound(ranked_.begin(), ranked_.end(), r, worse), r);
       }
       ++admitted;
     }
@@ -390,7 +438,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
 
   // Alive count, whichever layout this kind maintains.
   auto alive_count = [&]() -> std::size_t {
-    return uniform ? ord_rem_.size() : ids_.size();
+    return uniform ? ord_rem_.size() : ranked ? ranked_.size() : ids_.size();
   };
 
   Time now = arrivals.peek_release();
@@ -401,6 +449,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   std::size_t intervals_emitted = 0;
   std::size_t ff_events = 0;
   std::size_t ff_epochs = 0;
+  std::size_t ff_touched = 0;
   bool epoch_open = false;
   std::vector<double> wrates;  // kWeightedShare per-event rates, id order
 
@@ -436,7 +485,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     // above speed), so the raw closed-form values are already the bits the
     // slow path would use.
     double share = 0.0;            // kUniformShare
-    std::size_t run_count = 0;     // kTopPriority / kQuantumRR
+    std::size_t run_count = 0;     // kTopPriority / kQuantumRR / ranked
     bool qrr_all = false;          // kQuantumRR: n <= m, everyone runs
     // kQuantumRR quantum/switch expiry; kEqualAttained/kLevelPriority
     // shared-rule breakpoint (the policy's RateDecision::max_duration).
@@ -516,35 +565,49 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
         break;
       }
       // The shared-rule kinds evaluate the policy's exact rule body
-      // (core/share_rules.h) over the kernel's own columns -- identical
+      // (core/share_rules.h) over the kernel's own state -- identical
       // floating-point program, so identical rates and breakpoints -- then
       // take the earliest completion as the generic loop does: min over
       // positive-rate jobs of rem/rate.  simd::min_ratio divides rate-zero
       // jobs to +inf (rem > 0 always), which cannot win the min, so the
       // unmasked vector reduction matches the guarded scalar min bitwise.
-      case FastForwardKind::kEqualAttained:
-        breakpoint_dt = share_rules::setf_rates(
-            n, machines, speed, ff.level_tolerance,
-            [this](std::size_t i) { return attained_[i]; }, rates_,
-            setf_scratch_);
-        completion_dt = simd::min_ratio(rem_.data(), rates_.data(), n);
-        break;
       case FastForwardKind::kLatestArrival:
         share_rules::laps_rates(
             n, machines, speed, ff.beta,
             [this](std::size_t i) { return release_[i]; }, rates_, laps_idx_);
         completion_dt = simd::min_ratio(rem_.data(), rates_.data(), n);
         break;
+      // The ranked kinds run the grant / select over the kept order; every
+      // job past the running prefix has rate 0 and cannot win the min.
+      case FastForwardKind::kEqualAttained: {
+        run_rates_.clear();
+        const share_rules::SetfGrant grant = share_rules::setf_grant(
+            n, machines, speed, ff.level_tolerance,
+            [&](std::size_t k) { return best(k).attained; },
+            [this](std::size_t, double r) { run_rates_.push_back(r); });
+        breakpoint_dt = grant.breakpoint;
+        run_count = grant.running;
+        break;
+      }
       case FastForwardKind::kLevelPriority:
-        breakpoint_dt = share_rules::mlfq_rates(
-            n, machines, speed, ff.mlfq_base, ff.mlfq_growth,
-            [this](std::size_t i) { return attained_[i]; },
-            [this](std::size_t i) { return release_[i]; }, rates_,
-            mlfq_scratch_);
-        completion_dt = simd::min_ratio(rem_.data(), rates_.data(), n);
+        run_rates_.clear();
+        run_count = std::min(n, static_cast<std::size_t>(machines));
+        breakpoint_dt = share_rules::mlfq_select(
+            run_count, speed, mlfq_thresholds_,
+            [&](std::size_t k) { return best(k).attained; },
+            [&](std::size_t k) { return best(k).level; },
+            [this](std::size_t, double r) { run_rates_.push_back(r); });
         break;
       case FastForwardKind::kNone:
         engine_fail("fast path invoked without a FastForward capability");
+    }
+    if (ranked) {
+      for (std::size_t k = 0; k < run_count; ++k) {
+        if (run_rates_[k] > 0.0) {
+          const Time cdt = best(k).remaining / run_rates_[k];
+          if (cdt < completion_dt) completion_dt = cdt;
+        }
+      }
     }
 
     // --- next event: arrival, completion, breakpoint, or max_time ---------
@@ -580,7 +643,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
       epoch.sizes = size_;
       // The attained-tracking kernels expose their column so the
       // attained-accounting witness can audit it against size - remaining.
-      if (rule_kind) epoch.attained = attained_;
+      if (laps) epoch.attained = attained_;
       inv_.check_epoch(epoch);
     };
     if (dt > 0.0) {
@@ -607,6 +670,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           // it.
           const Work delta = share * dt;
           simd::sub_scalar(ord_rem_.data(), ord_rem_.size(), delta);
+          ff_touched += n;
           break;
         }
         case FastForwardKind::kTopPriority: {
@@ -627,6 +691,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           for (std::size_t i = 0; i < run_count; ++i) {
             rem_[pos_of(order_[i])] -= delta;
           }
+          ff_touched += run_count;
           break;
         }
         case FastForwardKind::kWeightedShare:
@@ -636,6 +701,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
             ++intervals_emitted;
           }
           simd::sub_product(rem_.data(), wrates.data(), n, dt);
+          ff_touched += n;
           break;
         case FastForwardKind::kQuantumRR: {
           if (trace || inv_due) {
@@ -662,11 +728,10 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
               rem_[pos_of(rr_queue_[i])] -= delta;
             }
           }
+          ff_touched += run_count;
           break;
         }
-        case FastForwardKind::kEqualAttained:
         case FastForwardKind::kLatestArrival:
-        case FastForwardKind::kLevelPriority:
           if (inv_due) check_id_epoch(rates_);
           if (trace) {
             schedule.push_interval(now, now + dt, ids_, rates_);
@@ -677,7 +742,61 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           // columns.  Rate-zero jobs keep their bits untouched (F3), so
           // advancing everyone is safe and branch-free.
           simd::advance(attained_.data(), rem_.data(), rates_.data(), n, dt);
+          ff_touched += n;
           break;
+        case FastForwardKind::kEqualAttained:
+        case FastForwardKind::kLevelPriority: {
+          if (inv_due) {
+            // The battery is order-blind, so the epoch goes out in ranked
+            // order (best first), with dense rates only on this path.
+            auto& jobs = order_;
+            auto& rates = inv_.scratch_rates();
+            auto& rem = inv_.scratch_remaining();
+            auto& sizes = inv_.scratch_sizes();
+            auto& att = inv_.scratch_attained();
+            jobs.resize(n);
+            rates.assign(n, 0.0);
+            rem.resize(n);
+            sizes.resize(n);
+            att.resize(n);
+            for (std::size_t k = 0; k < n; ++k) {
+              const RankedJob& r = best(k);
+              jobs[k] = r.id;
+              if (k < run_count) rates[k] = run_rates_[k];
+              rem[k] = r.remaining;
+              sizes[k] = r.size;
+              att[k] = r.attained;
+            }
+            InvariantEpoch epoch;
+            epoch.begin = now;
+            epoch.end = now + dt;
+            epoch.jobs = jobs;
+            epoch.rates = rates;
+            epoch.remaining = rem;
+            epoch.sizes = sizes;
+            epoch.attained = att;
+            inv_.check_epoch(epoch);
+          }
+          if (trace) {
+            rates_.assign(n, 0.0);
+            for (std::size_t k = 0; k < run_count; ++k) {
+              rates_[pos_of(best(k).id)] = run_rates_[k];
+            }
+            schedule.push_interval(now, now + dt, ids_, rates_);
+            ++intervals_emitted;
+          }
+          // The generic loop's exact per-job advance (delta = rate * dt,
+          // attained += delta, remaining -= delta) over the running prefix;
+          // every other job has rate 0 and keeps its bits (F3).
+          for (std::size_t k = 0; k < run_count; ++k) {
+            RankedJob& r = best(k);
+            const Work delta = run_rates_[k] * dt;
+            r.attained += delta;
+            r.remaining -= delta;
+          }
+          ff_touched += run_count;
+          break;
+        }
         case FastForwardKind::kNone:
           break;  // unreachable; rejected above
       }
@@ -722,10 +841,48 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
         if (live != nullptr) live->record(now - schedule.release(id));
         if (keep_ids) ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(pos_of(id)));
       }
+    } else if (ranked) {
+      // Only the running jobs lost work; with a degenerate job alive every
+      // job is a candidate.  Survivors keep their order, so the running
+      // block stays the back of ranked_.
+      const std::size_t size_before = ranked_.size();
+      const std::size_t lo =
+          degenerate_alive > 0 ? 0 : size_before - run_count;
+      std::size_t w = lo;
+      std::size_t running_left = run_count;
+      for (std::size_t i = lo; i < size_before; ++i) {
+        const RankedJob& r = ranked_[i];
+        if (r.remaining <= kRelEps * r.size + kAbsEps) {
+          completing_.push_back(r.id);
+          if (i >= size_before - run_count) --running_left;
+        } else {
+          ranked_[w++] = r;
+        }
+      }
+      ranked_.resize(w);
+      // Complete in id order, as the id-sorted layouts do: LiveMetrics
+      // keeps flows in completion order.
+      std::sort(completing_.begin(), completing_.end());
+      for (const JobId id : completing_) {
+        schedule.set_completion(id, now);
+        if (live != nullptr) live->record(now - schedule.release(id));
+        if (keep_ids) {
+          ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(pos_of(id)));
+        }
+      }
+      if (dt > 0.0) {
+        const std::size_t hi = ranked_.size();
+        if (!setf) {
+          for (std::size_t i = hi - running_left; i < hi; ++i) {
+            ranked_[i].level = mlfq_thresholds_.level_of(ranked_[i].attained);
+          }
+        }
+        replace_ranked(hi - running_left, hi);
+      }
     } else {
       std::size_t order_scan_end = 0;  // prefix of order_ the scan covered
       if (degenerate_alive > 0 || kind == FastForwardKind::kWeightedShare ||
-          rule_kind || (kind == FastForwardKind::kQuantumRR && qrr_all)) {
+          laps || (kind == FastForwardKind::kQuantumRR && qrr_all)) {
         for (std::size_t i = 0; i < n; ++i) {
           if (rem_[i] <= kRelEps * size_[i] + kAbsEps) {
             completing_.push_back(ids_[i]);
@@ -781,7 +938,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           size_.erase(size_.begin() + p);
           release_.erase(release_.begin() + p);
           weight_.erase(weight_.begin() + p);
-          if (rule_kind) attained_.erase(attained_.begin() + p);
+          if (laps) attained_.erase(attained_.begin() + p);
         }
       }
     }
@@ -827,6 +984,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   obs::add(obs_counters::kFastForwardRuns, 1);
   obs::add(obs_counters::kFastForwardEvents, ff_events);
   obs::add(obs_counters::kFastForwardEpochs, ff_epochs);
+  obs::add(obs_counters::kFastForwardTouched, ff_touched);
   return schedule;
 }
 

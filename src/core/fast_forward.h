@@ -37,7 +37,8 @@
 // Attained-service and arrival-order rules (SETF, LAPS, MLFQ) qualify via
 // core/share_rules.h: the one rule body is a template both the policy's
 // rates() and the kernel instantiate, so the two paths execute identical
-// floating-point programs.  Policies with breakpoints the kernel does not
+// floating-point programs.  For SETF and MLFQ the policy sorts and the
+// kernel keeps the sorted order; both then call the same grant / select.  Policies with breakpoints the kernel does not
 // model or with genuinely dynamic allocation state (age-weighted WRR) keep
 // kind = kNone and run on the generic loop unchanged.
 #pragma once
@@ -73,17 +74,25 @@ enum class FastForwardKind : std::uint8_t {
   /// closed-form, so the run never queries the policy.
   kQuantumRR,
   /// Fluid SETF: machines go to jobs in increasing attained-service order,
-  /// groups tied within `level_tolerance` share; the kernel maintains the
-  /// attained column itself and evaluates share_rules::setf_rates -- the
-  /// very template the policy's rates() instantiates -- each event,
-  /// breakpoints (group catch-up) included.
+  /// groups tied within `level_tolerance` share.  The kernel keeps the
+  /// alive jobs sorted by share_rules::setf_before and runs
+  /// share_rules::setf_grant -- the grant the policy's rates() runs after
+  /// its sort -- each event, breakpoints (group catch-up) included.  The
+  /// order is exact because (attained, id) is a strict total order and only
+  /// the running jobs' attained changes (F3); those jobs are re-placed
+  /// after each advance.  "Running" is every group the grant visits, which
+  /// covers any group a rounding remainder of machines_left reaches.
   kEqualAttained,
   /// LAPS(beta): the ceil(beta*n) latest arrivals split the machines
   /// equally (share_rules::laps_rates); event-driven only, no breakpoint.
   kLatestArrival,
   /// MLFQ(base, growth): the m jobs of least (level, release, id) run at
-  /// full speed, with level-crossing breakpoints
-  /// (share_rules::mlfq_rates over the kernel's attained column).
+  /// full speed, with level-crossing breakpoints.  The kernel keeps every
+  /// alive job's level and the (level, release, id) order
+  /// (share_rules::mlfq_before, a strict total order), refreshes the level
+  /// of the jobs that ran, re-places those that crossed a threshold, and
+  /// runs share_rules::mlfq_select -- as the policy's rates() does after
+  /// its partial sort -- over the first m.
   kLevelPriority,
 };
 
@@ -137,6 +146,11 @@ inline constexpr const char* kFastForwardEpochs = "engine.fastforward.epochs";
 inline constexpr const char* kFastForwardEvents = "engine.fastforward.events";
 /// Runs that took the fast path end to end.
 inline constexpr const char* kFastForwardRuns = "engine.fastforward.runs";
+/// Jobs the kernel advanced, summed over events: Sigma alive for the
+/// all-alive kinds, Sigma running for the kinds that advance only the
+/// running jobs (kTopPriority, kQuantumRR, kEqualAttained, kLevelPriority).
+inline constexpr const char* kFastForwardTouched =
+    "engine.fastforward.touched";
 }  // namespace obs_counters
 
 }  // namespace tempofair

@@ -5,12 +5,24 @@
 // (attained, release) columns and the run constants -- no state survives
 // between queries (a scratch holds buffers and, for MLFQ, a table computed
 // from the run constants).  To make the fast path bitwise-equal to the
-// event loop, the one rule body lives here as a template over column
-// accessors: the policy's rates() instantiates it over the id-sorted
-// AliveJob views, the kernel over its id-sorted SoA columns, and both
-// therefore execute the exact same floating-point operations in the same
-// order.  Tie-breaks by job id reduce to index comparisons because both
-// callers index in ascending-id order.
+// event loop, the one rule body lives here as a template over accessors,
+// and both paths therefore execute the exact same floating-point
+// operations in the same order:
+//
+//   - LAPS: laps_rates, instantiated by the policy over its id-sorted
+//     AliveJob views and by the kernel over its id-sorted SoA columns.
+//     Tie-breaks by job id reduce to index comparisons because both index
+//     in ascending-id order.
+//   - SETF and MLFQ are split at the sort.  setf_before / mlfq_before are
+//     the priority orders; setf_grant and mlfq_select read an alive set
+//     already in that order.  The policy sorts its views (setf_rates,
+//     mlfq_rates); the kernel keeps the order across events instead of
+//     re-sorting.  Both orders are strict total orders, so the kept order
+//     is the sorted one.  setf_grant stops after the first zero-rate group
+//     past the visited ones, because every later pair of groups has
+//     closing speed 0 and cannot set the breakpoint; with F3 (only jobs
+//     that ran change, see core/fast_forward.cpp) that makes the kernel's
+//     per-event work O(running).
 //
 // Editing a formula here changes both paths at once -- which is the point.
 // Never fork a copy into a policy or the kernel.
@@ -27,23 +39,104 @@
 
 namespace tempofair::share_rules {
 
+/// SETF's priority order: (attained, id) ascending -- a strict total order
+/// (ids are distinct), so the sorted order of an alive set is unique.
+/// `a`/`b` are ids or id-ordered indices.
+template <typename Id>
+[[nodiscard]] inline bool setf_before(double attained_a, Id a,
+                                      double attained_b, Id b) noexcept {
+  if (attained_a != attained_b) return attained_a < attained_b;
+  return a < b;
+}
+
+/// What setf_grant decided: the RateDecision::max_duration breakpoint and
+/// the length of the sorted prefix the grant visited.  Every job past that
+/// prefix has rate zero.
+struct SetfGrant {
+  Time breakpoint = kInfiniteTime;
+  std::size_t running = 0;
+};
+
+/// Fluid SETF's grant (policies/setf.h) over an alive set already sorted by
+/// setf_before: `attained(k)` reads the k-th job of that order.  Machines
+/// are granted in that order; a group tied at one level (within `tol`)
+/// shares what remains, and `set_rate(k, rate)` receives the rate of every
+/// job of every group the walk visits.  The breakpoint is the earliest
+/// catch-up time at which two adjacent groups merge.
+///
+/// The walk visits groups while machines remain, so `running` can cover a
+/// group whose rate is tiny (a rounding remainder of machines_left) or zero
+/// (that remainder divided by a large group underflows).  Past the visited
+/// groups it reads only the level of the next group: every later pair of
+/// groups is two zero-rate groups with closing speed 0, which never sets
+/// the breakpoint.  The work is O(running), not O(n).
+template <typename AttainedAt, typename SetRate>
+[[nodiscard]] SetfGrant setf_grant(std::size_t n, int machines, double speed,
+                                   double tol, const AttainedAt& attained,
+                                   const SetRate& set_rate) {
+  // Groups are built by chaining: job j joins the current group when its
+  // attained service is within tolerance of its predecessor's.  (Comparing to
+  // the group head instead would split groups spuriously right after two
+  // groups merge, forcing the engine into tiny catch-up steps.)
+  auto group_end = [&](std::size_t start) {
+    std::size_t j = start + 1;
+    while (j < n && approx_equal(attained(j), attained(j - 1), tol, tol)) {
+      ++j;
+    }
+    return j;
+  };
+
+  // Breakpoint: the earliest time a faster lower group catches the level of
+  // the group above it (their rates then change as the groups merge).  Each
+  // group is compared with its predecessor as the walk reaches it.
+  SetfGrant grant;
+  bool have_prev = false;
+  double prev_rate = 0.0;
+  double prev_level = 0.0;
+  auto close_pair = [&](double rate, double level) {
+    if (have_prev) {
+      const double closing = prev_rate - rate;
+      if (closing > kAbsEps) {
+        const double gap = level - prev_level;
+        grant.breakpoint =
+            std::min(grant.breakpoint, std::max(gap, 0.0) / closing);
+      }
+    }
+    have_prev = true;
+    prev_rate = rate;
+    prev_level = level;
+  };
+
+  double machines_left = static_cast<double>(machines);
+  std::size_t i = 0;
+  while (i < n && machines_left > 0.0) {
+    const double level = attained(i);
+    const std::size_t j = group_end(i);
+    const double group_size = static_cast<double>(j - i);
+    const double per_job = speed * std::min(1.0, machines_left / group_size);
+    for (std::size_t g = i; g < j; ++g) set_rate(g, per_job);
+    machines_left -= (per_job / speed) * group_size;
+    close_pair(per_job, level);
+    i = j;
+  }
+  grant.running = i;
+  if (i < n) close_pair(0.0, attained(i));  // the first zero-rate group
+  if (grant.breakpoint <= 0.0) {
+    grant.breakpoint = kAbsEps;  // merged this instant; take a tiny step
+  }
+  return grant;
+}
+
 /// Reusable scratch for setf_rates; callers keep one across queries so the
 /// per-event cost is a sort, never an allocation.
 struct SetfScratch {
-  struct Group {
-    double rate;
-    double level;
-  };
   std::vector<std::size_t> idx;
-  std::vector<Group> groups;
 };
 
-/// Fluid SETF (policies/setf.h): machines are granted to jobs in increasing
-/// attained-service order; a group tied at one level (within `tol`) shares
-/// what remains, and the breakpoint is the earliest catch-up time at which
-/// two adjacent groups merge.  `attained(i)` reads job i's attained service;
-/// i ranges over the id-sorted alive set.  Fills `rates` (id order) and
-/// returns the RateDecision::max_duration breakpoint.
+/// Fluid SETF over an unsorted alive set: sorts the id-ordered alive jobs
+/// by setf_before, then runs setf_grant.  `attained(i)` reads job i's
+/// attained service; i ranges over the id-sorted alive set.  Fills `rates`
+/// (id order) and returns the RateDecision::max_duration breakpoint.
 template <typename AttainedAt>
 [[nodiscard]] Time setf_rates(std::size_t n, int machines, double speed,
                               double tol, const AttainedAt& attained,
@@ -53,60 +146,14 @@ template <typename AttainedAt>
   idx.resize(n);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    if (attained(a) != attained(b)) return attained(a) < attained(b);
-    return a < b;
+    return setf_before(attained(a), a, attained(b), b);
   });
-
   rates.assign(n, 0.0);
-
-  // Walk groups of (approximately) equal attained service, granting machines.
-  double machines_left = static_cast<double>(machines);
-  std::size_t i = 0;
-  auto& groups = scratch.groups;
-  groups.clear();
-  // Groups are built by chaining: job j joins the current group when its
-  // attained service is within tolerance of its predecessor's.  (Comparing to
-  // the group head instead would split groups spuriously right after two
-  // groups merge, forcing the engine into tiny catch-up steps.)
-  auto group_end = [&](std::size_t start) {
-    std::size_t j = start + 1;
-    while (j < n &&
-           approx_equal(attained(idx[j]), attained(idx[j - 1]), tol, tol)) {
-      ++j;
-    }
-    return j;
-  };
-
-  while (i < n && machines_left > 0.0) {
-    const double level = attained(idx[i]);
-    const std::size_t j = group_end(i);
-    const double group_size = static_cast<double>(j - i);
-    const double per_job = speed * std::min(1.0, machines_left / group_size);
-    for (std::size_t g = i; g < j; ++g) rates[idx[g]] = per_job;
-    machines_left -= (per_job / speed) * group_size;
-    groups.push_back(SetfScratch::Group{per_job, level});
-    i = j;
-  }
-  // Remaining groups (if any) get zero rate but we still need their levels
-  // for the catch-up breakpoint.
-  while (i < n) {
-    const double level = attained(idx[i]);
-    groups.push_back(SetfScratch::Group{0.0, level});
-    i = group_end(i);
-  }
-
-  // Breakpoint: the earliest time a faster lower group catches the level of
-  // the group above it (their rates then change as the groups merge).
-  Time breakpoint = kInfiniteTime;
-  for (std::size_t g = 0; g + 1 < groups.size(); ++g) {
-    const double closing = groups[g].rate - groups[g + 1].rate;
-    if (closing > kAbsEps) {
-      const double gap = groups[g + 1].level - groups[g].level;
-      breakpoint = std::min(breakpoint, std::max(gap, 0.0) / closing);
-    }
-  }
-  if (breakpoint <= 0.0) breakpoint = kAbsEps;  // merged this instant; take a tiny step
-  return breakpoint;
+  return setf_grant(
+             n, machines, speed, tol,
+             [&](std::size_t k) { return attained(idx[k]); },
+             [&](std::size_t k, double rate) { rates[idx[k]] = rate; })
+      .breakpoint;
 }
 
 /// LAPS(beta) (policies/priority_policies.h): the ceil(beta*n)
@@ -216,6 +263,41 @@ class MlfqThresholds {
   std::array<double, kLevels> table_{};
 };
 
+/// MLFQ's priority order: (level, release, id) ascending -- a strict total
+/// order, so the m least jobs of an alive set are unique.
+template <typename Id>
+[[nodiscard]] inline bool mlfq_before(int level_a, double release_a, Id a,
+                                      int level_b, double release_b,
+                                      Id b) noexcept {
+  if (level_a != level_b) return level_a < level_b;
+  if (release_a != release_b) return release_a < release_b;
+  return a < b;
+}
+
+/// MLFQ's selection (policies/mlfq.h) over an alive set whose first `run`
+/// jobs are its `run` least under mlfq_before (`run` = min(n, m)): each runs
+/// at full speed, reported through `set_rate(k, speed)`, and the breakpoint
+/// fires when one of them crosses into the next level.  `attained(k)` and
+/// `level(k)` read the k-th job of that order.
+template <typename AttainedAt, typename LevelAt, typename SetRate>
+[[nodiscard]] Time mlfq_select(std::size_t run, double speed,
+                               const MlfqThresholds& thresholds,
+                               const AttainedAt& attained, const LevelAt& level,
+                               const SetRate& set_rate) {
+  Time breakpoint = kInfiniteTime;
+  for (std::size_t k = 0; k < run; ++k) {
+    set_rate(k, speed);
+    // Re-query when this job crosses into the next level (it may then be
+    // preempted by a lower-level waiter).
+    const double to_demotion = thresholds.threshold(level(k)) - attained(k);
+    if (to_demotion > 0.0) {
+      breakpoint = std::min(breakpoint, to_demotion / speed);
+    }
+  }
+  if (breakpoint <= 0.0) breakpoint = kAbsEps;
+  return breakpoint;
+}
+
 /// Reusable scratch for mlfq_rates.
 struct MlfqScratch {
   std::vector<int> levels;
@@ -223,10 +305,9 @@ struct MlfqScratch {
   MlfqThresholds thresholds;
 };
 
-/// MLFQ (policies/mlfq.h): the m alive jobs of lexicographically least
-/// (level, release, id) run at full speed; the breakpoint fires when a
-/// running job crosses into the next level.  Fills `rates` (id order) and
-/// returns the breakpoint.
+/// MLFQ over an unsorted alive set: every job's level, then the m least by
+/// mlfq_before, then mlfq_select.  Fills `rates` (id order) and returns the
+/// breakpoint.
 template <typename AttainedAt, typename ReleaseAt>
 [[nodiscard]] Time mlfq_rates(std::size_t n, int machines, double speed,
                               double base, double growth,
@@ -249,27 +330,15 @@ template <typename AttainedAt, typename ReleaseAt>
       std::min<std::size_t>(n, static_cast<std::size_t>(machines));
   std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(run),
                     idx.end(), [&](std::size_t a, std::size_t b) {
-                      if (levels[a] != levels[b]) return levels[a] < levels[b];
-                      if (release(a) != release(b)) {
-                        return release(a) < release(b);
-                      }
-                      return a < b;
+                      return mlfq_before(levels[a], release(a), a, levels[b],
+                                         release(b), b);
                     });
 
   rates.assign(n, 0.0);
-  Time breakpoint = kInfiniteTime;
-  for (std::size_t i = 0; i < run; ++i) {
-    const std::size_t a = idx[i];
-    rates[a] = speed;
-    // Re-query when this job crosses into the next level (it may then be
-    // preempted by a lower-level waiter).
-    const double to_demotion = thresholds.threshold(levels[a]) - attained(a);
-    if (to_demotion > 0.0) {
-      breakpoint = std::min(breakpoint, to_demotion / speed);
-    }
-  }
-  if (breakpoint <= 0.0) breakpoint = kAbsEps;
-  return breakpoint;
+  return mlfq_select(
+      run, speed, thresholds, [&](std::size_t k) { return attained(idx[k]); },
+      [&](std::size_t k) { return levels[idx[k]]; },
+      [&](std::size_t k, double rate) { rates[idx[k]] = rate; });
 }
 
 }  // namespace tempofair::share_rules

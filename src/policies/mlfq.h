@@ -7,9 +7,10 @@
 // breakpoint) when its attained service crosses its current threshold.
 //
 // The allocation rule lives in core/share_rules.h (mlfq_rates, with levels
-// read from an MlfqThresholds table of T_0..T_63 instead of a log per job),
-// shared with FastForwardCore's kLevelPriority kernel so the fast path is
-// bitwise-equal to the event loop.
+// read from an MlfqThresholds table of T_0..T_63 instead of a log per job):
+// rates() computes levels, partially sorts and calls mlfq_select, the one
+// body FastForwardCore's kLevelPriority kernel also calls over its kept
+// order, so the fast path is bitwise-equal to the event loop.
 #pragma once
 
 #include "core/policy.h"
@@ -25,8 +26,8 @@ class Mlfq final : public Policy {
   [[nodiscard]] bool clairvoyant() const noexcept override { return false; }
   [[nodiscard]] RateDecision rates(const SchedulerContext& ctx) override;
 
-  /// Epoch-coalescing closed form: the kernel evaluates the same
-  /// share_rules::mlfq_rates over its attained column (contract C1).
+  /// Epoch-coalescing closed form: the kernel runs the same
+  /// share_rules::mlfq_select over its kept level order (contract C1).
   [[nodiscard]] FastForward fast_forward() const noexcept override;
 
   /// Threshold above which a job leaves `level` (T_level).

@@ -33,16 +33,25 @@ std::unique_ptr<Policy> make_policy(std::string_view spec) {
   const std::string_view args =
       colon == std::string_view::npos ? std::string_view{} : spec.substr(colon + 1);
 
-  if (name == "rr") return std::make_unique<RoundRobin>();
-  if (name == "srpt") return std::make_unique<Srpt>();
-  if (name == "sjf") return std::make_unique<Sjf>();
-  if (name == "fcfs") return std::make_unique<Fcfs>();
-  if (name == "setf") return std::make_unique<Setf>();
-  if (name == "wrr") return std::make_unique<WeightedRoundRobin>();
-  if (name == "mlfq") return std::make_unique<Mlfq>();
-  if (name == "hdf") return std::make_unique<Hdf>();
-  if (name == "hrdf") return std::make_unique<Hrdf>();
-  if (name == "wprr") return std::make_unique<WeightProportionalRoundRobin>();
+  std::unique_ptr<Policy> plain;  // the policies that take no argument
+  if (name == "rr") plain = std::make_unique<RoundRobin>();
+  if (name == "srpt") plain = std::make_unique<Srpt>();
+  if (name == "sjf") plain = std::make_unique<Sjf>();
+  if (name == "fcfs") plain = std::make_unique<Fcfs>();
+  if (name == "setf") plain = std::make_unique<Setf>();
+  if (name == "wrr") plain = std::make_unique<WeightedRoundRobin>();
+  if (name == "mlfq") plain = std::make_unique<Mlfq>();
+  if (name == "hdf") plain = std::make_unique<Hdf>();
+  if (name == "hrdf") plain = std::make_unique<Hrdf>();
+  if (name == "wprr") plain = std::make_unique<WeightProportionalRoundRobin>();
+  if (plain != nullptr) {
+    if (colon != std::string_view::npos) {
+      throw std::invalid_argument("make_policy: policy '" + std::string(name) +
+                                  "' takes no arguments (spec '" +
+                                  std::string(spec) + "')");
+    }
+    return plain;
+  }
   if (name == "laps") {
     const double beta = args.empty() ? 0.5 : parse_double(args, "laps beta");
     return std::make_unique<Laps>(beta);

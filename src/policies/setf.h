@@ -10,9 +10,10 @@
 // the policy reports a breakpoint at the earliest catch-up time -- the engine
 // then re-queries and the groups merge.  This makes the simulation exact.
 //
-// The allocation rule itself lives in core/share_rules.h (setf_rates), the
-// one body both this rates() and FastForwardCore's kEqualAttained kernel
-// instantiate -- which is what makes the fast path bitwise-equal.
+// The allocation rule itself lives in core/share_rules.h: rates() sorts
+// (setf_rates) and calls setf_grant, the one body FastForwardCore's
+// kEqualAttained kernel also calls over its kept order -- which is what
+// makes the fast path bitwise-equal.
 #pragma once
 
 #include "core/policy.h"
@@ -31,8 +32,8 @@ class Setf final : public Policy {
   [[nodiscard]] bool clairvoyant() const noexcept override { return false; }
   [[nodiscard]] RateDecision rates(const SchedulerContext& ctx) override;
 
-  /// Epoch-coalescing closed form: the kernel evaluates the same
-  /// share_rules::setf_rates over its own attained column (contract C1).
+  /// Epoch-coalescing closed form: the kernel runs the same
+  /// share_rules::setf_grant over its kept attained order (contract C1).
   [[nodiscard]] FastForward fast_forward() const noexcept override;
 
  private:

@@ -24,7 +24,10 @@
 #include "core/invariants.h"
 #include "core/metrics.h"
 #include "core/schedule.h"
+#include "policies/mlfq.h"
+#include "policies/priority_policies.h"
 #include "policies/registry.h"
+#include "policies/setf.h"
 #include "workload/adversarial.h"
 #include "workload/generators.h"
 #include "workload/rng.h"
@@ -76,15 +79,14 @@ void expect_identical(const Schedule& fast, const Schedule& slow) {
 }
 
 /// Replays a recorded schedule through the offline exhaustive battery under
-/// the profile `spec` resolves to; an engine-produced schedule must be clean.
-void expect_invariants_clean(const Schedule& schedule, const std::string& spec,
+/// the profile of `policy`; an engine-produced schedule must be clean.
+void expect_invariants_clean(const Schedule& schedule, const Policy& policy,
                              int machines, double speed) {
-  const std::unique_ptr<Policy> policy = make_policy(spec);
   InvariantRunProfile profile;
   profile.machines = machines;
   profile.speed = speed;
-  profile.policy = std::string(policy->name());
-  profile.traits = policy->invariant_traits();
+  profile.policy = std::string(policy.name());
+  profile.traits = policy.invariant_traits();
   const InvariantStats offline = check_schedule(schedule, profile);
   EXPECT_TRUE(offline.ok()) << "offline battery: " << summarize(offline);
 }
@@ -109,8 +111,47 @@ void run_both_and_compare(const Instance& instance, const std::string& policy,
   EXPECT_TRUE(slow.invariants.ok()) << summarize(slow.invariants);
   expect_identical(fast.schedule, slow.schedule);
   if (record_trace) {
-    expect_invariants_clean(fast.schedule, policy, machines, speed);
+    expect_invariants_clean(fast.schedule, *make_policy(policy), machines,
+                            speed);
   }
+}
+
+/// run_both_and_compare through the Policy-object overload, for parameters
+/// no registry spec reaches.  `policy` serves both runs: its rates() carry
+/// no state between queries (contract C2).
+void run_both_and_compare(const Instance& instance, Policy& policy,
+                          int machines, bool record_trace) {
+  SCOPED_TRACE("policy object " + std::string(policy.name()) + " m=" +
+               std::to_string(machines) +
+               " trace=" + std::to_string(record_trace));
+  RunRequest fast_req;
+  fast_req.machines = machines;
+  fast_req.record_trace = record_trace;
+  fast_req.invariants = InvariantMode::kExhaustive;  // a violation throws
+  RunRequest slow_req = fast_req;
+  slow_req.use_fast_path = false;
+
+  const RunResult fast = run(instance, policy, fast_req);
+  const RunResult slow = run(instance, policy, slow_req);
+  EXPECT_TRUE(fast.invariants.ok()) << summarize(fast.invariants);
+  EXPECT_TRUE(slow.invariants.ok()) << summarize(slow.invariants);
+  expect_identical(fast.schedule, slow.schedule);
+  if (record_trace) {
+    expect_invariants_clean(fast.schedule, policy, machines, 1.0);
+  }
+}
+
+/// The attained-service kernels' policies off their registry defaults:
+/// SETF with exact ties only and with a wide tie band; MLFQ with a short
+/// base and fast growth, and with thresholds so fine (1e-9 * 1.1^l) that
+/// every job outgrows the 64-entry table and takes the log walk past it.
+std::vector<std::unique_ptr<Policy>> attained_policies() {
+  std::vector<std::unique_ptr<Policy>> policies;
+  policies.push_back(std::make_unique<Setf>(0.0));
+  policies.push_back(std::make_unique<Setf>(1e-3));
+  policies.push_back(std::make_unique<Mlfq>(0.5, 3.0));
+  policies.push_back(std::make_unique<Mlfq>(1e-9, 1.1));
+  return policies;
 }
 
 const std::vector<std::string> kFastPolicies = {
@@ -254,6 +295,61 @@ TEST(FastForwardEquivalence, DegenerateSizesStillMatch) {
   for (const std::string& policy : kFastPolicies) {
     run_both_and_compare(instance, policy, 1, /*record_trace=*/true);
     run_both_and_compare(instance, policy, 1, /*record_trace=*/false);
+  }
+}
+
+TEST(FastForwardEquivalence, AttainedKernelsNonDefaultParameters) {
+  for (const int machines : {1, 4}) {
+    workload::Rng rng(kSeed + 41 + static_cast<std::uint64_t>(machines));
+    const Instance instance = workload::poisson_load(
+        400, machines, 0.9, workload::ExponentialSize{1.5}, rng);
+    for (const auto& policy : attained_policies()) {
+      for (const bool trace : {true, false}) {
+        run_both_and_compare(instance, *policy, machines, trace);
+      }
+    }
+  }
+}
+
+TEST(FastForwardEquivalence, IdsOutOfReleaseOrder) {
+  // Instance::from_pairs keeps the caller's order as ids, so releases are
+  // shuffled against ids: arrivals insert mid-array in the id-sorted trace
+  // rows, and equal attained service or level ties break on ids that do
+  // not follow arrival order.  Five jobs share each release and sizes
+  // repeat, so exact ties occur and several running jobs cross a level or
+  // a group boundary in the same event.
+  workload::Rng rng(kSeed + 53);
+  std::vector<std::pair<Time, Work>> pairs;
+  for (int i = 0; i < 160; ++i) {
+    const double release = 1.5 * static_cast<double>((i * 37) % 32);
+    const double size = 0.25 * static_cast<double>(1 + rng.uniform_int(0, 4));
+    pairs.emplace_back(release, size);
+  }
+  const Instance instance = Instance::from_pairs(pairs);
+  std::vector<std::unique_ptr<Policy>> policies = attained_policies();
+  policies.push_back(std::make_unique<Setf>());
+  policies.push_back(std::make_unique<Mlfq>());
+  policies.push_back(std::make_unique<Laps>(0.5));
+  for (const int machines : {1, 4}) {
+    for (const auto& policy : policies) {
+      for (const bool trace : {true, false}) {
+        run_both_and_compare(instance, *policy, machines, trace);
+      }
+    }
+  }
+}
+
+TEST(FastForwardEquivalence, DeepAliveSetsTraceOff) {
+  // Load 0.95 at 20k jobs keeps long queues alive: SETF re-places its
+  // running groups past many waiters, MLFQ demotes past deep levels.
+  for (const int machines : {1, 4}) {
+    workload::Rng rng(kSeed + 71 + static_cast<std::uint64_t>(machines));
+    const Instance instance = workload::poisson_load(
+        20000, machines, 0.95, workload::ExponentialSize{1.0}, rng);
+    Setf setf;
+    Mlfq mlfq;
+    run_both_and_compare(instance, setf, machines, /*record_trace=*/false);
+    run_both_and_compare(instance, mlfq, machines, /*record_trace=*/false);
   }
 }
 

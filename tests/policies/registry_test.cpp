@@ -69,6 +69,16 @@ TEST(Registry, RejectsMalformedParameters) {
   EXPECT_THROW((void)make_policy("qrr:1.0,xyz"), std::invalid_argument);
   EXPECT_THROW((void)make_policy("laps:2.0"), std::invalid_argument);  // beta > 1
   EXPECT_THROW((void)make_policy("qrr:-1"), std::invalid_argument);
+  // A policy without parameters must not drop an argument silently.
+  for (const char* spec : {"mlfq:0.5,3", "setf:0", "rr:2", "srpt:", "wprr:1"}) {
+    try {
+      (void)make_policy(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Registry, EveryBuiltinSimulatesACommonInstance) {
