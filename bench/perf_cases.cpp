@@ -328,13 +328,19 @@ Report run_fastpath_cases(const CaseOptions& options) {
     RoundRobin rr;
     RunRequest req;
     double norms = 0.0;
+    std::size_t trace_bytes = 0;
+    std::size_t trace_entries = 0;
     CaseResult c = measure(
         "rr_fast_trace_l2_" + std::to_string(n_trace) + suffix, repeats, [&] {
           const RunResult result = tempofair::run(inst, rr, req);
           norms += flow_lk_norm(result.schedule, 2.0);
+          trace_bytes = result.schedule.trace_memory_bytes();
+          trace_entries = result.schedule.trace().entry_count();
         });
     c.stats["jobs"] = static_cast<double>(n_trace);
     c.stats["l2_norm_total"] = norms;
+    c.stats["trace_bytes"] = static_cast<double>(trace_bytes);
+    c.stats["trace_entries"] = static_cast<double>(trace_entries);
     report.cases.push_back(std::move(c));
   }
 
@@ -367,6 +373,7 @@ Report run_fastpath_cases(const CaseOptions& options) {
     c.stats["jobs"] = static_cast<double>(n_dual);
     c.stats["beta_pieces"] = per_call("dualfit.beta_pieces");
     c.stats["feasibility_checks"] = per_call("dualfit.feasibility_checks");
+    c.stats["beta_full_sorts"] = per_call("dualfit.beta_full_sorts");
     c.stats["objective_ratio"] = cert.objective_ratio;
     report.cases.push_back(std::move(c));
   }

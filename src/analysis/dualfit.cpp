@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "lpsolve/rational.h"
@@ -16,10 +17,15 @@ namespace tempofair::analysis {
 namespace {
 
 /// v^k.  At k == 1 the exact result v is representable, and a pow() whose
-/// error is below 1 ULP (glibc's: 0.52) must return it, so skipping the
-/// call is bit-identical.  No other exponent is special-cased: pow(v, 2)
-/// need not equal the correctly rounded v * v.
-double pow_k(double v, double k) { return k == 1.0 ? v : std::pow(v, k); }
+/// error is below 1 ULP (glibc's: 0.52) must return it; at k == 0 C Annex F
+/// requires pow(v, 0) == 1 for every v, NaN included.  Skipping the call is
+/// bit-identical in both cases.  No other exponent is special-cased:
+/// pow(v, 2) need not equal the correctly rounded v * v.
+double pow_k(double v, double k) {
+  if (k == 1.0) return v;
+  if (k == 0.0) return 1.0;
+  return std::pow(v, k);
+}
 
 }  // namespace
 
@@ -49,14 +55,6 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   const int m = schedule.machines();
   const std::span<const Time> release = schedule.releases();
   const std::span<const Time> completion = schedule.completions();
-
-  std::vector<double> flow(n), fk(n), fkm1(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    flow[j] = completion[j] - release[j];
-    fk[j] = pow_k(flow[j], k);
-    fkm1[j] = pow_k(flow[j], k - 1.0);
-    res.rr_power += fk[j];
-  }
 
   // ---- alpha_j --------------------------------------------------------------
   // Every alpha term is an integral over one trace interval [a, b]:
@@ -124,48 +122,106 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
       alpha[job] += prefix / static_cast<double>(nt);
     }
   }
+  // F_j^k = (C_j - r_j)^k.  A job's last interval normally ends at C_j,
+  // and then the cache already holds that power: same argument bits, same
+  // result.  The sums run over j in id order either way.
   for (std::size_t j = 0; j < n; ++j) {
-    alpha[j] -= eps * fk[j];
+    const double fk = std::bit_cast<std::uint64_t>(last_t[j]) ==
+                              std::bit_cast<std::uint64_t>(completion[j])
+                          ? last_pow[j]
+                          : pow_k(completion[j] - release[j], k);
+    res.rr_power += fk;
+    alpha[j] -= eps * fk;
     res.alpha_sum += alpha[j];
   }
 
   // ---- beta_t ---------------------------------------------------------------
-  // beta is piecewise constant with breakpoints at r_j and C_j + delta F_j.
-  // Build it as a sorted event list; value_scale = (1/2 - 3 eps) / m.
+  // beta is piecewise constant with breakpoints at r_j (rise by
+  // coeff F_j^(k-1)) and C_j + delta F_j (fall by as much), coeff =
+  // (1/2 - 3 eps) / m.  Sweeping the events in time order gives the pieces.
+  //
+  // When releases are nondecreasing in id the rises are already in time
+  // order, so only the n falls are sorted and the two lists are merged.
+  // If all 2n times are distinct, the time order is unique: the merge
+  // visits exactly the sequence a full sort would and performs the same
+  // additions in the same order.  A tie (equal adjacent times) leaves the
+  // order of equal events to std::sort, so the merge is abandoned and the
+  // 2n events are sorted as a whole -- as are unordered releases.
+  const bool releases_ordered = std::is_sorted(release.begin(), release.end());
   const double beta_coeff = (0.5 - 3.0 * eps) / static_cast<double>(m);
-  struct BetaEvent {
-    Time t;
-    double delta_value;
+  using BetaEvent = std::pair<Time, double>;  // (time, change of beta)
+  const auto by_time = [](const BetaEvent& a, const BetaEvent& b) {
+    return a.first < b.first;
   };
-  std::vector<BetaEvent> events;
-  events.reserve(2 * n);
+  // Only alpha outlives the alpha cache, so the rises take over its
+  // storage instead of faulting in fresh pages.
+  last_t = std::vector<Time>();
+  std::vector<double> rise = std::move(last_pow);
+  // Pieces: (start time, beta value on [start, next start)).  Until the
+  // merge overwrites it, the back half holds the falls: the merge writes
+  // piece a + b after reading rise a or fall b, and a + b <= n + b.
+  std::vector<BetaEvent> beta_pieces(2 * n);
+  const std::span<BetaEvent> falls(beta_pieces.data() + n, n);
   for (std::size_t j = 0; j < n; ++j) {
-    const Time start = release[j];
-    const Time stop = completion[j] + res.delta * flow[j];
-    events.push_back(BetaEvent{start, beta_coeff * fkm1[j]});
-    events.push_back(BetaEvent{stop, -beta_coeff * fkm1[j]});
+    const Time flow = completion[j] - release[j];
+    rise[j] = beta_coeff * pow_k(flow, k - 1.0);
+    falls[j] = BetaEvent{completion[j] + res.delta * flow, -rise[j]};
   }
-  std::sort(events.begin(), events.end(),
-            [](const BetaEvent& a, const BetaEvent& b) { return a.t < b.t; });
 
-  // Pieces: (start time, beta value on [start, next start)).
-  std::vector<std::pair<Time, double>> beta_pieces;
-  beta_pieces.reserve(events.size() + 1);
-  double running = 0.0;
-  std::size_t i = 0;
   double beta_integral = 0.0;
-  Time prev_t = events.empty() ? 0.0 : events.front().t;
-  while (i < events.size()) {
-    const Time t = events[i].t;
-    beta_integral += running * (t - prev_t);
-    prev_t = t;
-    while (i < events.size() && events[i].t == t) {
-      running += events[i].delta_value;
-      ++i;
+  bool merged = releases_ordered;
+  if (merged) {
+    std::sort(falls.begin(), falls.end(), by_time);
+    // The full-sort path's sweep (below), with one event per time.
+    double running = 0.0;
+    Time prev_t = n == 0 ? 0.0 : std::min(release[0], falls[0].first);
+    std::size_t a = 0;
+    std::size_t b = 0;
+    while (a < n || b < n) {
+      const std::size_t piece = a + b;
+      BetaEvent e;
+      if (b == n || (a < n && release[a] < falls[b].first)) {
+        e = BetaEvent{release[a], rise[a]};
+        ++a;
+      } else {
+        e = falls[b++];
+      }
+      if (e.first == prev_t && piece != 0) {
+        merged = false;
+        break;
+      }
+      beta_integral += running * (e.first - prev_t);
+      prev_t = e.first;
+      running += e.second;
+      beta_pieces[piece] = BetaEvent{e.first, std::max(running, 0.0)};
     }
-    beta_pieces.emplace_back(t, std::max(running, 0.0));
   }
-  // (running is ~0 after the last event; the final piece has beta = 0.)
+  if (!merged) {
+    std::vector<BetaEvent> events;
+    events.reserve(2 * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const Time flow = completion[j] - release[j];
+      events.push_back(BetaEvent{release[j], rise[j]});
+      events.push_back(BetaEvent{completion[j] + res.delta * flow, -rise[j]});
+    }
+    std::sort(events.begin(), events.end(), by_time);
+    beta_pieces.clear();
+    beta_integral = 0.0;
+    double running = 0.0;
+    std::size_t i = 0;
+    Time prev_t = events.empty() ? 0.0 : events.front().first;
+    while (i < events.size()) {
+      const Time t = events[i].first;
+      beta_integral += running * (t - prev_t);
+      prev_t = t;
+      while (i < events.size() && events[i].first == t) {
+        running += events[i].second;
+        ++i;
+      }
+      beta_pieces.emplace_back(t, std::max(running, 0.0));
+    }
+    // (running is ~0 after the last event; the final piece has beta = 0.)
+  }
   res.beta_term = static_cast<double>(m) * beta_integral;
   res.dual_objective = res.alpha_sum - res.beta_term;
 
@@ -209,7 +265,6 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   // every breakpoint.  When releases are nondecreasing in id (ids assigned
   // in arrival order), a cursor advanced job by job finds it in O(n +
   // pieces) overall; otherwise each job binary-searches for it.
-  const bool releases_ordered = std::is_sorted(release.begin(), release.end());
   std::size_t cursor = 0;
   res.min_slack = kInfiniteTime;
   res.max_relative_violation = 0.0;
@@ -292,6 +347,7 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   obs::add("dualfit.beta_pieces", beta_pieces.size());
   obs::add("dualfit.feasibility_checks", feasibility_checks);
   obs::add("dualfit.resorted_intervals", resorted_intervals);
+  obs::add("dualfit.beta_full_sorts", merged ? 0 : 1);
   return res;
 }
 

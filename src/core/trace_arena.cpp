@@ -1,30 +1,92 @@
 #include "core/trace_arena.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <new>
 #include <stdexcept>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 namespace tempofair {
 
 namespace {
 
-template <typename T>
-std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
-  return v.capacity() * sizeof(T);
+template <typename C>
+std::size_t capacity_bytes(const C& v) noexcept {
+  return v.capacity() * sizeof(*v.data());
 }
 
 // Grows a column to hold `extra` more elements using a 1.25x geometric
 // factor instead of the standard library's 2x.  The trace columns dominate
 // the simulator's footprint, and a tight factor caps the capacity slack at
 // 25% (vs. up to 100%) while staying amortized O(1) per element.
-template <typename T>
-void grow_for(std::vector<T>& v, std::size_t extra) {
-  const std::size_t needed = v.size() + extra;
-  if (needed <= v.capacity()) return;
-  v.reserve(std::max(needed, v.capacity() + v.capacity() / 4 + 1));
+template <typename C>
+void grow_for(C& v, std::size_t extra) {
+  if (!v.lacks_room(extra)) return;
+  v.reserve(std::max(v.size() + extra, v.capacity() + v.capacity() / 4 + 1));
 }
 
+#if defined(__linux__)
+constexpr std::size_t kMappedBytes = std::size_t{1} << 17;
+
+bool mapped(std::size_t bytes) noexcept { return bytes >= kMappedBytes; }
+
+std::size_t page_round(std::size_t bytes) noexcept {
+  static const std::size_t page =
+      static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return (bytes + page - 1) / page * page;
+}
+#endif
+
 }  // namespace
+
+void* TraceArena::resize_block(void* p, std::size_t old_bytes,
+                               std::size_t used, std::size_t new_bytes) {
+#if defined(__linux__)
+  if (mapped(old_bytes) && mapped(new_bytes)) {
+    void* q = mremap(p, page_round(old_bytes), page_round(new_bytes),
+                     MREMAP_MAYMOVE);
+    if (q == MAP_FAILED) throw std::bad_alloc();
+    return q;
+  }
+  if (mapped(old_bytes) || mapped(new_bytes)) {
+    // Crossing the threshold: a fresh block of the other kind, and a copy
+    // of less than 128 KiB.
+    void* q = mapped(new_bytes)
+                  ? mmap(nullptr, page_round(new_bytes),
+                         PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                         -1, 0)
+                  : std::malloc(new_bytes);
+    if (q == MAP_FAILED || q == nullptr) throw std::bad_alloc();
+    if (used != 0) std::memcpy(q, p, used);
+    free_block(p, old_bytes);
+    return q;
+  }
+#else
+  (void)old_bytes;
+  (void)used;
+#endif
+  void* q = std::realloc(p, new_bytes);
+  if (q == nullptr) throw std::bad_alloc();
+  return q;
+}
+
+void TraceArena::free_block(void* p, std::size_t bytes) noexcept {
+#if defined(__linux__)
+  if (p != nullptr && mapped(bytes)) {
+    munmap(p, page_round(bytes));
+    return;
+  }
+#else
+  (void)bytes;
+#endif
+  std::free(p);
+}
 
 JobSlice JobTraceView::operator[](std::size_t i) const noexcept {
   const std::size_t iv = intervals_[i];
@@ -44,8 +106,12 @@ Work JobTraceView::total_work() const noexcept {
 void TraceArena::clear() noexcept {
   begin_.clear();
   end_.clear();
-  job_off_.assign(1, 0);
-  rate_off_.assign(1, 0);
+  job_off_.clear();
+  job_off_.reserve(1);
+  job_off_.push_back(0);
+  rate_off_.clear();
+  rate_off_.reserve(1);
+  rate_off_.push_back(0);
   ids_.clear();
   rates_.clear();
   index_built_ = false;
@@ -64,6 +130,23 @@ void TraceArena::reserve(std::size_t intervals, std::size_t entries) {
   peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 }
 
+// One check per row; only growth changes memory_bytes(), so the peak is
+// updated only when a column grew.
+void TraceArena::make_room(std::size_t ids, std::size_t rates) {
+  if (!begin_.lacks_room(1) && !end_.lacks_room(1) &&
+      !job_off_.lacks_room(1) && !rate_off_.lacks_room(1) &&
+      !ids_.lacks_room(ids) && !rates_.lacks_room(rates)) {
+    return;
+  }
+  grow_for(begin_, 1);
+  grow_for(end_, 1);
+  grow_for(job_off_, 1);
+  grow_for(rate_off_, 1);
+  grow_for(ids_, ids);
+  grow_for(rates_, rates);
+  peak_bytes_ = std::max(peak_bytes_, memory_bytes());
+}
+
 void TraceArena::append(Time begin, Time end, std::span<const JobId> jobs,
                         std::span<const double> rates) {
   if (jobs.size() != rates.size()) {
@@ -74,18 +157,6 @@ void TraceArena::append(Time begin, Time end, std::span<const JobId> jobs,
     throw std::invalid_argument(
         "TraceArena::append: interval must have end > begin");
   }
-  grow_for(begin_, 1);
-  grow_for(end_, 1);
-  grow_for(job_off_, 1);
-  grow_for(rate_off_, 1);
-  grow_for(ids_, jobs.size());
-  grow_for(rates_, rates.size());
-
-  begin_.push_back(begin);
-  end_.push_back(end);
-  ids_.insert(ids_.end(), jobs.begin(), jobs.end());
-  job_off_.push_back(ids_.size());
-
   // Uniform-rate compression (I3): when every rate is bitwise-equal --
   // true for every Round Robin interval -- store the shared value once.
   bool uniform = !rates.empty();
@@ -95,15 +166,16 @@ void TraceArena::append(Time begin, Time end, std::span<const JobId> jobs,
       break;
     }
   }
-  if (uniform) {
-    rates_.push_back(rates[0]);
-  } else {
-    rates_.insert(rates_.end(), rates.begin(), rates.end());
-  }
-  rate_off_.push_back(rates_.size());
+  const std::size_t stored = uniform ? 1 : rates.size();
+  make_room(jobs.size(), stored);
 
+  begin_.push_back(begin);
+  end_.push_back(end);
+  ids_.append(jobs.data(), jobs.size());
+  job_off_.push_back(ids_.size());
+  rates_.append(rates.data(), stored);
+  rate_off_.push_back(rates_.size());
   index_built_ = false;
-  peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 }
 
 void TraceArena::append_uniform(Time begin, Time end,
@@ -112,22 +184,15 @@ void TraceArena::append_uniform(Time begin, Time end,
     throw std::invalid_argument(
         "TraceArena::append_uniform: interval must have end > begin");
   }
-  grow_for(begin_, 1);
-  grow_for(end_, 1);
-  grow_for(job_off_, 1);
-  grow_for(rate_off_, 1);
-  grow_for(ids_, jobs.size());
-  grow_for(rates_, 1);
+  make_room(jobs.size(), 1);  // an empty row stores no rate but reserves one
 
   begin_.push_back(begin);
   end_.push_back(end);
-  ids_.insert(ids_.end(), jobs.begin(), jobs.end());
+  ids_.append(jobs.data(), jobs.size());
   job_off_.push_back(ids_.size());
   if (!jobs.empty()) rates_.push_back(rate);
   rate_off_.push_back(rates_.size());
-
   index_built_ = false;
-  peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 }
 
 void TraceArena::append(Time begin, Time end,

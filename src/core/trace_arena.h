@@ -40,9 +40,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <iterator>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/time_types.h"
@@ -224,7 +227,7 @@ class JobTraceView {
 /// The columnar trace store.  See the file comment for layout and invariants.
 class TraceArena {
  public:
-  TraceArena() = default;
+  TraceArena() { clear(); }
 
   // --- mutation -------------------------------------------------------------
   void clear() noexcept;
@@ -320,18 +323,107 @@ class TraceArena {
  private:
   friend class JobTraceView;
 
+  // Column storage, in bytes.  On Linux a block of at least 128 KiB is an
+  // anonymous mapping of its own, resized with mremap: growth moves the
+  // pages by their page tables instead of copying them and faulting in new
+  // ones, and shrinking trims in place.  Smaller blocks, and all blocks
+  // elsewhere, use malloc/realloc/free.  (glibc's realloc mremaps only
+  // blocks it mmapped itself; once a free raises its dynamic mmap
+  // threshold, large columns land on the heap and every growth copies.)
+  // resize_block keeps the first `used` bytes and throws std::bad_alloc,
+  // leaving `p` intact, on failure.
+  static void* resize_block(void* p, std::size_t old_bytes, std::size_t used,
+                            std::size_t new_bytes);
+  static void free_block(void* p, std::size_t bytes) noexcept;
+
+  // A growable array of trivially copyable elements on the blocks above.
+  // Capacities follow std::vector's (reserve() allocates exactly what it is
+  // asked for, a copy holds just its elements), so memory_bytes() reads
+  // the same; a copy-assignment also holds just the source's elements.
+  // push_back() and append() do not grow: the caller makes room first.
+  template <typename T>
+  class Column {
+    static_assert(std::is_trivially_copyable_v<T>);
+
+   public:
+    Column() noexcept = default;
+    Column(const Column& o) : size_(o.size_) {
+      if (size_ == 0) return;
+      data_ = static_cast<T*>(resize_block(nullptr, 0, 0, bytes(size_)));
+      cap_ = size_;
+      std::memcpy(data_, o.data_, bytes(size_));
+    }
+    Column(Column&& o) noexcept
+        : data_(std::exchange(o.data_, nullptr)),
+          size_(std::exchange(o.size_, 0)), cap_(std::exchange(o.cap_, 0)) {}
+    Column& operator=(Column o) noexcept {
+      std::swap(data_, o.data_);
+      std::swap(size_, o.size_);
+      std::swap(cap_, o.cap_);
+      return *this;
+    }
+    ~Column() { free_block(data_, bytes(cap_)); }
+
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] const T* data() const noexcept { return data_; }
+    [[nodiscard]] const T* begin() const noexcept { return data_; }
+    [[nodiscard]] const T* end() const noexcept { return data_ + size_; }
+    [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+      return data_[i];
+    }
+    /// True if `extra` more elements do not fit without growing.
+    [[nodiscard]] bool lacks_room(std::size_t extra) const noexcept {
+      return size_ + extra > cap_;
+    }
+
+    void push_back(T v) noexcept { data_[size_++] = v; }
+    void append(const T* src, std::size_t n) noexcept {
+      if (n != 0) std::memcpy(data_ + size_, src, bytes(n));
+      size_ += n;
+    }
+    void clear() noexcept { size_ = 0; }
+    /// Grows the capacity to exactly `n` if it is smaller.
+    void reserve(std::size_t n) {
+      if (n > cap_) resize(n);
+    }
+    void shrink_to_fit() {
+      if (size_ == 0) {
+        free_block(std::exchange(data_, nullptr), bytes(cap_));
+        cap_ = 0;
+      } else if (cap_ > size_) {
+        resize(size_);
+      }
+    }
+
+   private:
+    static std::size_t bytes(std::size_t n) noexcept { return n * sizeof(T); }
+    void resize(std::size_t n) {  // n >= size_, n > 0
+      data_ = static_cast<T*>(
+          resize_block(data_, bytes(cap_), bytes(size_), bytes(n)));
+      cap_ = n;
+    }
+
+    T* data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+  };
+
   void ensure_job_index() const;
+  /// Makes room for one more row holding `ids` ids and `rates` rates.
+  void make_room(std::size_t ids, std::size_t rates);
   [[nodiscard]] bool interval_uniform(std::size_t i) const noexcept {
     const std::uint64_t nrates = rate_off_[i + 1] - rate_off_[i];
     return nrates != job_off_[i + 1] - job_off_[i] || nrates == 1;
   }
 
-  std::vector<Time> begin_;
-  std::vector<Time> end_;
-  std::vector<std::uint64_t> job_off_{0};   // size()+1 CSR into ids_
-  std::vector<std::uint64_t> rate_off_{0};  // size()+1 CSR into rates_
-  std::vector<JobId> ids_;
-  std::vector<double> rates_;
+  Column<Time> begin_;
+  Column<Time> end_;
+  Column<std::uint64_t> job_off_;   // size()+1 CSR into ids_
+  Column<std::uint64_t> rate_off_;  // size()+1 CSR into rates_
+  Column<JobId> ids_;
+  Column<double> rates_;
   std::size_t peak_bytes_ = 0;
 
   // Per-job CSR index, built lazily by ensure_job_index().

@@ -7,6 +7,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -483,6 +484,9 @@ TEST(DualFit, MatchesReferenceVerifier) {
       {"pareto", workload::ParetoSize{1.8, 0.5, 50.0}},
   };
   const double ks[] = {1.0, 1.5, 2.0, 3.0};
+  // Poisson releases and continuous sizes: all 2n beta event times are
+  // distinct, so every certificate merges instead of sorting all events.
+  obs::Sink poisson_sink;
   std::uint64_t seed = 31;
   for (const auto& [family, dist] : families) {
     for (const std::size_t n : {std::size_t{300}, std::size_t{3000}}) {
@@ -492,6 +496,7 @@ TEST(DualFit, MatchesReferenceVerifier) {
         const std::string cell = std::string(family) + " n=" +
                                  std::to_string(n) + " m=" + std::to_string(m);
         const Schedule slow = run_rr(inst, 1.0, m);
+        const obs::ScopedSink scope(&poisson_sink);
         for (const double k : ks) {
           expect_matches_reference(slow, k, cell + " speed=1");
           expect_matches_reference(run_rr(inst, theorem1_speed(k, eps), m), k,
@@ -500,6 +505,8 @@ TEST(DualFit, MatchesReferenceVerifier) {
       }
     }
   }
+  EXPECT_EQ(poisson_sink.value("dualfit.certificates"), 64u);
+  EXPECT_EQ(poisson_sink.value("dualfit.beta_full_sorts"), 0u);
 
   // Other policies' alive sets: SRPT and LAPS keep jobs waiting at rate 0.
   const Instance inst = workload::make_instance(workload::WorkloadSpec::poisson(
@@ -527,6 +534,62 @@ TEST(DualFit, MatchesReferenceVerifier) {
       for (const double k : ks) expect_matches_reference(s, k, "reversed");
     }
     EXPECT_GT(sink.value("dualfit.resorted_intervals"), 0u);
+    EXPECT_EQ(sink.value("dualfit.beta_full_sorts"), 4u);
+  }
+
+  // Equal beta event times leave the order of equal events to the full
+  // sort: every case below must take it, and still match bit for bit.
+  const auto expect_full_sorts = [&](const Schedule& s, const char* label) {
+    obs::Sink sink;
+    {
+      const obs::ScopedSink scope(&sink);
+      for (const double k : ks) expect_matches_reference(s, k, label);
+    }
+    EXPECT_EQ(sink.value("dualfit.beta_full_sorts"), std::size(ks)) << label;
+  };
+  // Batch releases: start times tie.
+  {
+    std::vector<std::pair<Time, Work>> pairs;
+    for (const Time batch : {0.0, 10.0, 25.0}) {
+      for (int j = 0; j < 20; ++j) pairs.emplace_back(batch, 0.5 + 0.37 * j);
+    }
+    const Instance batches = Instance::from_pairs(pairs);
+    for (const int m : {1, 3}) {
+      expect_full_sorts(run_rr(batches, 1.0, m), "batches");
+      expect_full_sorts(run_rr(batches, theorem1_speed(2.0, eps), m),
+                        "batches at eta");
+    }
+  }
+  // A stop C_0 + delta F_0 that equals a later release exactly.
+  {
+    const Time stop0 = 2.0 + eps * 2.0;
+    Schedule s(Instance::from_pairs(std::vector<std::pair<Time, Work>>{
+                   {0.0, 2.0}, {stop0, 1.0}, {stop0 + 0.5, 1.0}}),
+               /*machines=*/1, /*speed=*/1.0);
+    s.push_interval(0.0, 2.0, {RateShare{0, 1.0}});
+    s.push_interval(stop0, stop0 + 0.5, {RateShare{1, 1.0}});
+    s.push_interval(stop0 + 0.5, stop0 + 1.5,
+                    {RateShare{1, 0.5}, RateShare{2, 0.5}});
+    s.push_interval(stop0 + 1.5, stop0 + 2.0, {RateShare{2, 1.0}});
+    s.set_completion(0, 2.0);
+    s.set_completion(1, stop0 + 1.5);
+    s.set_completion(2, stop0 + 2.0);
+    s.set_trace_recorded(true);
+    expect_full_sorts(s, "stop at a release");
+  }
+  // Nondecreasing releases whose only tie is between the last two jobs:
+  // the merge runs almost to the end before it has to give up.
+  {
+    const Instance poisson =
+        workload::make_instance(workload::WorkloadSpec::poisson(
+            500, 0.9, workload::ExponentialSize{1.0}, 77));
+    std::vector<std::pair<Time, Work>> pairs;
+    for (const Job& job : poisson.jobs()) {
+      pairs.emplace_back(job.release, job.size);
+    }
+    pairs.back().first = pairs[pairs.size() - 2].first;
+    expect_full_sorts(run_rr(Instance::from_pairs(pairs), 1.0),
+                      "tie at the end");
   }
 
   // Job 0 leaves the alive set during [1, 2) and re-enters at 2, so its
@@ -544,6 +607,21 @@ TEST(DualFit, MatchesReferenceVerifier) {
     s.set_trace_recorded(true);
     for (const double k : ks) expect_matches_reference(s, k, "re-entry");
   }
+
+  // F_j^k comes from the alpha cache only when the job's last row ends
+  // exactly at C_j; here job 0's completion lies past its last row.
+  {
+    Schedule s(Instance::from_pairs(std::vector<std::pair<Time, Work>>{
+                   {0.0, 1.5}, {0.5, 1.0}}),
+               /*machines=*/1, /*speed=*/1.0);
+    s.push_interval(0.0, 0.5, {RateShare{0, 1.0}});
+    s.push_interval(0.5, 1.5, {RateShare{0, 0.5}, RateShare{1, 0.5}});
+    s.push_interval(1.5, 2.5, {RateShare{0, 0.5}, RateShare{1, 0.5}});
+    s.set_completion(0, 2.75);
+    s.set_completion(1, 2.5);
+    s.set_trace_recorded(true);
+    for (const double k : ks) expect_matches_reference(s, k, "late completion");
+  }
 }
 
 TEST(DualFit, PowOfExponentOneIsExact) {
@@ -557,7 +635,6 @@ TEST(DualFit, PowOfExponentOneIsExact) {
     } else {
       EXPECT_EQ(bits(p), bits(x)) << x;
     }
-    EXPECT_EQ(std::pow(x, 0.0), 1.0) << x;
   };
   constexpr double inf = std::numeric_limits<double>::infinity();
   for (const double x :
@@ -573,6 +650,27 @@ TEST(DualFit, PowOfExponentOneIsExact) {
   for (const double k : {1.0, 1.5, 2.0, 3.0, 7.25}) {
     EXPECT_EQ(bits(std::pow(0.0, k)), bits(0.0)) << k;
   }
+}
+
+TEST(DualFit, PowOfExponentZeroIsOne) {
+  // The verifier skips pow(F_j, k - 1) at k == 1.  C Annex F requires
+  // pow(x, +-0) == 1 for every x, NaN included; pin it on this platform.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_one = [&](double x) {
+    EXPECT_EQ(bits(std::pow(x, 0.0)), bits(1.0)) << bits(x);
+    EXPECT_EQ(bits(std::pow(x, -0.0)), bits(1.0)) << bits(x);
+  };
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (const double x :
+       {0.0, -0.0, DBL_TRUE_MIN, -DBL_TRUE_MIN, DBL_MIN, -DBL_MIN, 1.0, -1.0,
+        DBL_MAX, -DBL_MAX, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::signaling_NaN()}) {
+    expect_one(x);
+  }
+  // Random bit patterns cover every exponent and sign, NaNs included.
+  std::mt19937_64 gen(20261018);
+  for (int i = 0; i < 1'000'000; ++i) expect_one(std::bit_cast<double>(gen()));
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -139,6 +142,226 @@ TEST(TraceArena, EveryRrIntervalIsUniformCompressed) {
   for (const TraceIntervalView iv : s.trace()) {
     EXPECT_TRUE(iv.uniform_rate());
   }
+}
+
+// ---- Column storage: growth, accounting, copy and move ---------------------
+
+void expect_same_trace(const TraceArena& got,
+                       const std::vector<AosInterval>& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const TraceIntervalView iv = got[i];
+    EXPECT_EQ(bits(iv.begin()), bits(want[i].begin)) << i;
+    EXPECT_EQ(bits(iv.end()), bits(want[i].end)) << i;
+    ASSERT_EQ(iv.alive_count(), want[i].shares.size()) << i;
+    for (std::size_t p = 0; p < iv.alive_count(); ++p) {
+      EXPECT_EQ(iv.job(p), want[i].shares[p].job) << i;
+      EXPECT_EQ(bits(iv.rate(p)), bits(want[i].shares[p].rate)) << i;
+    }
+    entries += iv.alive_count();
+  }
+  EXPECT_EQ(got.entry_count(), entries);
+}
+
+TEST(TraceArena, ManyGrowthStepsMatchAosReference) {
+  // Rows of 0-40 jobs, uniform or per-job rates, through both append
+  // paths: thousands of rows take every column through dozens of growth
+  // steps, and the contents must survive each of them.
+  std::mt19937_64 gen(20261017);
+  TraceArena arena;
+  std::vector<AosInterval> want;
+  std::vector<JobId> jobs;
+  std::vector<double> rates;
+  Time t = 0.0;
+  for (int row = 0; row < 5000; ++row) {
+    const std::size_t nt = gen() % 41;
+    const bool uniform = gen() % 2 == 0;
+    jobs.clear();
+    rates.clear();
+    AosInterval a;
+    a.begin = t;
+    t += 0.25 + static_cast<double>(gen() % 8);
+    a.end = t;
+    for (std::size_t p = 0; p < nt; ++p) {
+      jobs.push_back(static_cast<JobId>(3 * p + gen() % 3));
+      rates.push_back(uniform ? 1.0 / static_cast<double>(nt)
+                              : static_cast<double>(p + 1) / 64.0);
+      a.shares.push_back(RateShare{jobs.back(), rates.back()});
+    }
+    if (uniform && row % 3 == 0) {
+      arena.append_uniform(a.begin, a.end, jobs,
+                           rates.empty() ? 0.0 : rates[0]);
+    } else {
+      arena.append(a.begin, a.end, jobs, rates);
+    }
+    want.push_back(std::move(a));
+    if (row % 997 == 0) expect_same_trace(arena, want);
+  }
+  expect_same_trace(arena, want);
+  EXPECT_GE(arena.peak_memory_bytes(), arena.memory_bytes());
+  arena.shrink_to_fit();
+  expect_same_trace(arena, want);
+}
+
+TEST(TraceArena, LargeColumnsKeepContentsThroughEveryResize) {
+  // Columns of 128 KiB and more are resized in place of their own memory
+  // mapping.  Take every column into that range by reserve(), back out by
+  // shrink_to_fit(), into it again by growth, then copy, move and assign.
+  TraceArena arena;
+  arena.reserve(100'000, 100'000);
+  // 8 bytes per begin/end/rate slot, 8 per offset slot (+1), 4 per id.
+  EXPECT_EQ(arena.memory_bytes(), 4'400'016u);
+  EXPECT_EQ(arena.peak_memory_bytes(), 4'400'016u);
+  std::vector<AosInterval> want;
+  std::size_t stored_rates = 0;
+  const std::vector<JobId> ids{2, 3, 5, 7, 11, 13};
+  const auto add_row = [&](std::size_t nt, bool uniform) {
+    stored_rates += uniform ? 1 : nt;
+    AosInterval a;
+    a.begin = static_cast<Time>(want.size());
+    a.end = a.begin + 0.5;
+    std::vector<double> rates;
+    for (std::size_t p = 0; p < nt; ++p) {
+      rates.push_back(uniform ? 0.25 : 0.125 * static_cast<double>(p + 1));
+      a.shares.push_back(RateShare{ids[p], rates.back()});
+    }
+    arena.append(a.begin, a.end, std::span<const JobId>(ids.data(), nt), rates);
+    want.push_back(std::move(a));
+  };
+  for (std::size_t i = 0; i < 50; ++i) add_row(i % 6 + 1, i % 2 == 0);
+  expect_same_trace(arena, want);
+  arena.shrink_to_fit();
+  expect_same_trace(arena, want);
+  EXPECT_EQ(arena.memory_bytes(),
+            50u * 16 + 51u * 16 + 4u * arena.entry_count() + 8u * stored_rates);
+  while (want.size() < 60'000) {
+    add_row(want.size() % 6 + 1, want.size() % 3 != 0);
+  }
+  expect_same_trace(arena, want);
+  const TraceArena copy(arena);
+  expect_same_trace(copy, want);
+  TraceArena moved(std::move(arena));
+  moved.shrink_to_fit();
+  expect_same_trace(moved, want);
+  arena = copy;
+  expect_same_trace(arena, want);
+  EXPECT_EQ(arena.memory_bytes(), moved.memory_bytes());
+}
+
+TEST(TraceArena, MemoryBytesFollowTheGrowthRule) {
+  // Row i holds i % 5 + 1 jobs at one uniform rate.  Each column grows to
+  // max(needed, capacity + capacity / 4 + 1) when full; memory_bytes() is
+  // 8 bytes per slot of begin/end/both offset tables and of rates, and 4
+  // per id slot.  Offsets start with one slot (offset[0] == 0).
+  TraceArena arena;
+  EXPECT_EQ(arena.memory_bytes(), 16u);
+  std::vector<JobId> jobs;
+  std::vector<std::size_t> at;
+  for (int i = 0; i < 1000; ++i) {
+    jobs.assign(static_cast<std::size_t>(i % 5 + 1), JobId{0});
+    for (std::size_t p = 0; p < jobs.size(); ++p) {
+      jobs[p] = static_cast<JobId>(p);
+    }
+    arena.append_uniform(i, i + 1, jobs, 0.5);
+    at.push_back(arena.memory_bytes());
+  }
+  // Capacities (begin, end, job_off, rate_off, ids, rates) after rows
+  // 1, 2, 3, 4: (1,1,2,2,1,1), (2,2,3,3,3,2), (3,3,4,4,6,3), (4,4,6,6,10,4).
+  EXPECT_EQ(at[0], 60u);
+  EXPECT_EQ(at[1], 108u);
+  EXPECT_EQ(at[2], 160u);
+  EXPECT_EQ(at[3], 232u);
+  EXPECT_EQ(at[9], 564u);     // (11, 11, 11, 11, 31, 11)
+  EXPECT_EQ(at[99], 5892u);   // (117, 117, 117, 117, 303, 117)
+  EXPECT_EQ(at[999], 58556u); // (1109, 1109, 1109, 1109, 3549, 1109)
+  EXPECT_EQ(arena.peak_memory_bytes(), 58556u);
+  arena.shrink_to_fit();
+  // Exactly the elements: 1000 begins, ends and rates, 1001 of each offset
+  // table, 3000 ids.
+  EXPECT_EQ(arena.memory_bytes(), 52016u);
+  EXPECT_EQ(arena.peak_memory_bytes(), 58556u);
+}
+
+TEST(TraceArena, AppendAccountsUniformRowsLikeAppendUniform) {
+  // append() stores an all-equal rate vector as one rate, so it must grow
+  // the rate column by one, not by the row's job count.
+  TraceArena by_append;
+  TraceArena by_uniform;
+  std::vector<JobId> jobs;
+  for (int i = 0; i < 300; ++i) {
+    jobs.resize(static_cast<std::size_t>(i % 7 + 1));
+    for (std::size_t p = 0; p < jobs.size(); ++p) {
+      jobs[p] = static_cast<JobId>(p);
+    }
+    const std::vector<double> rates(jobs.size(), 0.125);
+    by_append.append(i, i + 1, jobs, rates);
+    by_uniform.append_uniform(i, i + 1, jobs, 0.125);
+    ASSERT_EQ(by_append.memory_bytes(), by_uniform.memory_bytes()) << i;
+  }
+  EXPECT_EQ(by_append.peak_memory_bytes(), by_uniform.peak_memory_bytes());
+  expect_same_trace(by_append, materialize(by_uniform));
+}
+
+TEST(TraceArena, ShrinkToFitOnEmptyArena) {
+  TraceArena arena;
+  arena.shrink_to_fit();
+  EXPECT_TRUE(arena.empty());
+  EXPECT_EQ(arena.entry_count(), 0u);
+  EXPECT_EQ(arena.memory_bytes(), 16u);  // offset[0] of both tables
+  EXPECT_TRUE(arena.job_trace(0).empty());
+  arena.append(0.0, 1.0, {RateShare{1, 0.5}});
+  arena.clear();
+  arena.shrink_to_fit();
+  EXPECT_TRUE(arena.empty());
+  EXPECT_EQ(arena.memory_bytes(), 16u);
+  arena.append(2.0, 3.0, {RateShare{0, 1.0}, RateShare{1, 0.25}});
+  ASSERT_EQ(arena.size(), 1u);
+  EXPECT_DOUBLE_EQ(arena.job_work(1), 0.25);
+}
+
+TEST(TraceArena, CopyMoveAndSelfAssignmentOfTracedSchedule) {
+  workload::Rng rng(5);
+  const Instance inst =
+      workload::poisson_load(400, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+  RoundRobin rr;
+  EngineOptions eo;
+  eo.machines = 2;
+  eo.record_trace = true;
+  Schedule original = EngineCore().run(inst, rr, eo);
+  const std::vector<AosInterval> want = materialize(original.trace());
+  ASSERT_GT(want.size(), 100u);
+  const std::size_t bytes = original.trace_memory_bytes();
+
+  Schedule copy(original);
+  expect_same_trace(copy.trace(), want);
+  EXPECT_EQ(copy.trace_memory_bytes(), bytes);  // finalized: no slack
+  EXPECT_EQ(copy.trace().peak_memory_bytes(),
+            original.trace().peak_memory_bytes());
+  // The copy owns its columns: growing it leaves the original alone.
+  copy.push_interval(1e9, 1e9 + 1, {RateShare{0, 1.0}});
+  EXPECT_EQ(copy.trace().size(), want.size() + 1);
+  expect_same_trace(original.trace(), want);
+
+  Schedule& alias = original;
+  original = alias;
+  expect_same_trace(original.trace(), want);
+  EXPECT_EQ(original.trace_memory_bytes(), bytes);
+
+  Schedule moved(std::move(copy));
+  EXPECT_EQ(moved.trace().size(), want.size() + 1);
+  copy = original;  // a moved-from schedule can be assigned again
+  expect_same_trace(copy.trace(), want);
+
+  Schedule target = EngineCore().run(
+      Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 1.0}}), rr);
+  target = std::move(original);
+  expect_same_trace(target.trace(), want);
+  EXPECT_EQ(target.trace_memory_bytes(), bytes);
+  target = copy;
+  expect_same_trace(target.trace(), want);
+  EXPECT_EQ(target.job_trace(0).total_work(), copy.job_trace(0).total_work());
 }
 
 // ---- Equivalence: arena pipeline vs first-principles AoS recomputation -----
