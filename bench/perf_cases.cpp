@@ -13,10 +13,8 @@
 #include "core/metrics.h"
 #include "harness/sweep.h"
 #include "harness/thread_pool.h"
-#include "lpsolve/certify.h"
 #include "lpsolve/flowtime_lp.h"
 #include "lpsolve/lower_bounds.h"
-#include "lpsolve/simplex.h"
 #include "obs/obs.h"
 #include "policies/mlfq.h"
 #include "policies/priority_policies.h"
@@ -420,44 +418,39 @@ Report run_fastpath_cases(const CaseOptions& options) {
     report.cases.push_back(std::move(c));
   }
 
-  // --- Dense LP certificate: the adversary search's denominator -----------
-  // build_flowtime_lp, the float simplex and verify_certificate's exact
-  // re-solve on A4's k=2 batch+stream baseline at search::pick_lp_slot, the
-  // one path that certifies through the dense tableau instead of the
-  // min-cost flow.
+  // --- Search LP certificate: the adversary search's denominator ---------
+  // search::evaluate_certified on A4's k=2 batch+stream baseline: the RR
+  // run, the certified trivial bound, and the MCMF solve plus its exact dual
+  // certificate on the lpsolve::auto_lp_slot grid.
   {
     search::SearchOptions so;
     so.k = 2.0;
     so.max_jobs = smoke ? 8 : 12;
     const Instance inst = search::seed_instances(so).front().second;
-    lpsolve::FlowtimeLpOptions lp_opt;
-    lp_opt.k = so.k;
-    lp_opt.slot = search::pick_lp_slot(inst, so.machines);
     obs::Sink counters;
-    lpsolve::CertifiedBound cert;
-    std::size_t vars = 0;
+    search::CertifiedEval eval;
     CaseResult c = measure(
-        "certify_dense_lp_" + std::to_string(so.max_jobs) + suffix, repeats,
+        "certify_search_lp_" + std::to_string(so.max_jobs) + suffix, repeats,
         [&] {
           const obs::ScopedSink scope(&counters);
-          const lpsolve::LinearProgram lp =
-              lpsolve::build_flowtime_lp(inst, lp_opt);
-          vars = lp.num_vars();
-          cert = lpsolve::verify_certificate(lp, lpsolve::solve_lp(lp));
+          eval = search::evaluate_certified(inst, so);
         });
     const auto per_solve = [&](const char* counter) {
       return static_cast<double>(counters.value(counter)) /
-             static_cast<double>(counters.value("lpsolve.exact.calls"));
+             static_cast<double>(counters.value("lpsolve.mcmf.calls"));
     };
+    lpsolve::FlowtimeLpOptions lp_opt;
+    lp_opt.k = so.k;
+    lp_opt.slot = eval.lp_slot;
     c.stats["jobs"] = static_cast<double>(so.max_jobs);
-    c.stats["lp_slot"] = lp_opt.slot;
-    c.stats["vars"] = static_cast<double>(vars);
-    c.stats["certified"] = cert.certified ? 1.0 : 0.0;
-    c.stats["certified_lb"] = cert.value;
-    c.stats["simplex_s"] = 1e-9 * per_solve("lpsolve.simplex.ns");
-    c.stats["exact_s"] = 1e-9 * per_solve("lpsolve.exact.ns");
-    c.stats["exact_pivots"] = per_solve("lpcert.exact_pivots");
-    c.stats["warm_start_share"] = per_solve("lpcert.warm_start");
+    c.stats["lp_slot"] = eval.lp_slot;
+    c.stats["vars"] =
+        static_cast<double>(lpsolve::flowtime_lp_num_vars(inst, lp_opt));
+    c.stats["certified"] = eval.ok ? 1.0 : 0.0;
+    c.stats["certified_lb"] = eval.certified_lb;
+    c.stats["mcmf_s"] = 1e-9 * per_solve("lpsolve.mcmf.ns");
+    c.stats["certify_s"] = 1e-9 * per_solve("lpsolve.certify.ns");
+    c.stats["augmentations"] = per_solve("mcmf.augmentations");
     report.cases.push_back(std::move(c));
   }
 

@@ -10,8 +10,8 @@
 // engine: flow_stats_* times the metrics summary of a finished run,
 // opt_bounds_lp_* times the OPT bracket with its LP lower bound on a
 // fixed T2 family, so the min-cost flow and the certificate are gated too,
-// certify_dense_lp_* times the dense simplex plus the exact re-solve that
-// certifies the adversary search's denominator, and dual_fit_* times the
+// certify_search_lp_* times the adversary search's certified denominator
+// (the MCMF solve and its exact dual check), and dual_fit_* times the
 // dual-fitting verifier on a traced RR schedule.
 #pragma once
 

@@ -27,24 +27,20 @@
 // neither change a value nor overflow.  Any 128-bit overflow poisons the
 // computation and yields certified = false (never a wrong bound).  All statuses are exact: kInfeasible means the
 // exact phase-1 optimum is nonzero, kUnbounded means an exact ray exists.
+//
+// This path is an oracle: experiment T8, lp_fuzz and the tests cross-check
+// the MCMF dual certificate (flowtime_lp.h) against it.  opt_bounds and the
+// adversary search certify through the MCMF path only.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "lpsolve/certified_bound.h"
 #include "lpsolve/rational.h"
 #include "lpsolve/simplex.h"
 
 namespace tempofair::lpsolve {
-
-/// A lower bound together with its verification status.  When `certified`
-/// is true, `value` has been checked in exact rational arithmetic and
-/// rounded toward the safe side; when false, `value` is whatever float
-/// estimate was available (possibly 0) and must not be presented as exact.
-struct CertifiedBound {
-  double value = 0.0;
-  bool certified = false;
-};
 
 struct CertifyOptions {
   /// Pivot budget for the exact solve.  Bland's rule terminates finitely;

@@ -15,6 +15,7 @@
 
 #include "lpsolve/mincost_flow.h"
 #include "lpsolve/rational.h"
+#include "lpsolve/simplex.h"
 #include "obs/obs.h"
 
 namespace tempofair::lpsolve {
@@ -277,6 +278,21 @@ CertifiedBound certify_flowtime_dual(
 
 }  // namespace
 
+double auto_lp_slot(const Instance& instance, int machines) {
+  // The grid dominates the MCMF cost (roughly slots x jobs edges and
+  // slots + jobs augmentations); a coarser grid only loosens the lower
+  // bound, never invalidates it.
+  double slot = std::min(1.0, instance.min_size());
+  const double horizon =
+      instance.horizon_bound(machines, 1.0) - instance.min_release();
+  const double min_slot = horizon / static_cast<double>(kAutoLpSlots);
+  // A denormal/zero min size (or a degenerate horizon) must not reach the
+  // LP as slot = 0: the negated comparison also catches NaN.
+  if (!(slot >= min_slot)) slot = min_slot;
+  if (!(slot > 0.0) || !std::isfinite(slot)) slot = 1.0;
+  return slot;
+}
+
 FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
                                    const FlowtimeLpOptions& options) {
   const Grid g = make_grid(instance, options);
@@ -369,6 +385,11 @@ std::size_t flowtime_lp_num_vars(const Instance& instance,
     vars += job_vars;
   }
   return vars;
+}
+
+std::size_t flowtime_lp_num_slots(const Instance& instance,
+                                  const FlowtimeLpOptions& options) {
+  return make_grid(instance, options).slots;
 }
 
 LinearProgram build_flowtime_lp(const Instance& instance,

@@ -13,15 +13,21 @@
 // Hence:   OPT^k  >=  lp_value / 2.
 //
 // The LP is a transportation problem (jobs -> slots) solved exactly by
-// min-cost max-flow; build_lp() exposes the same program for the dense
-// simplex so the two solvers can cross-validate (experiment T8).
+// min-cost max-flow and certified by its repaired dual -- the one certified
+// path every caller (opt_bounds, the adversary search) uses.
+// build_flowtime_lp() exposes the same program for the dense simplex, which
+// serves only as a cross-check oracle (experiment T8, lp_fuzz, tests); its
+// callers include simplex.h themselves.
 #pragma once
 
+#include <cstddef>
+
 #include "core/instance.h"
-#include "lpsolve/certify.h"
-#include "lpsolve/simplex.h"
+#include "lpsolve/certified_bound.h"
 
 namespace tempofair::lpsolve {
+
+struct LinearProgram;  // simplex.h
 
 /// Jobs below this size are dropped from the LP.  A denormal-size job makes
 /// unit_cost = (t^k + p^k) / p overflow to infinity, and removing a demand
@@ -51,16 +57,37 @@ struct FlowtimeLpResult {
   CertifiedBound certificate;
 };
 
+/// auto_lp_slot() never picks a slot narrower than (horizon bound - first
+/// release) / kAutoLpSlots.
+inline constexpr std::size_t kAutoLpSlots = 600;
+
+/// Most slots a grid at an auto_lp_slot() width holds: kAutoLpSlots, plus
+/// the grid's padding slot, plus one for the rounding of
+/// horizon / (horizon / kAutoLpSlots).
+inline constexpr std::size_t kAutoLpMaxSlots = kAutoLpSlots + 2;
+
+/// The default grid width: min(1, min_size), coarsened so the grid from the
+/// first release to the horizon bound holds at most kAutoLpMaxSlots slots.
+/// Degenerate sizes or horizons (zero, denormal, NaN) fall back to 1.  Used
+/// by opt_bounds (OptBoundsOptions::lp_slot = 0) and the adversary search.
+[[nodiscard]] double auto_lp_slot(const Instance& instance, int machines);
+
 /// Solves the discretized LP exactly via min-cost max-flow.
 /// Throws std::invalid_argument for empty instances or bad options.
 [[nodiscard]] FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
                                                  const FlowtimeLpOptions& options);
 
-/// Number of variables build_flowtime_lp() would create (saturating at
-/// SIZE_MAX), computed without allocating any of them, so callers can refuse
-/// an oversized dense LP up front.  Throws what build_flowtime_lp() throws
-/// for a grid it cannot build.
+/// Number of LP variables -- job->slot arcs of solve_flowtime_lp(), columns
+/// of build_flowtime_lp() -- (saturating at SIZE_MAX), computed from the grid
+/// without allocating any of them, so callers can refuse an oversized LP up
+/// front.  Throws what both builders throw for a grid they cannot build.
 [[nodiscard]] std::size_t flowtime_lp_num_vars(
+    const Instance& instance, const FlowtimeLpOptions& options);
+
+/// Number of grid slots -- slot nodes and slot->sink edges of
+/// solve_flowtime_lp(), each with its dual beta_t -- computed without
+/// allocating any of them.  Throws as flowtime_lp_num_vars() does.
+[[nodiscard]] std::size_t flowtime_lp_num_slots(
     const Instance& instance, const FlowtimeLpOptions& options);
 
 /// Builds the identical LP as a dense LinearProgram (variables x_{jt} in

@@ -49,25 +49,12 @@ OptBounds opt_bounds(const Instance& instance, const OptBoundsOptions& options) 
 
   CertifiedBound lp_cert;
   if (options.with_lp && !instance.empty()) {
-    double slot = options.lp_slot;
-    if (slot <= 0.0) {
-      slot = std::min(1.0, instance.min_size());
-      const double horizon =
-          instance.horizon_bound(options.machines, 1.0) - instance.min_release();
-      // The grid dominates the MCMF cost (roughly slots x jobs edges and
-      // slots+jobs augmentations); a coarser grid only loosens the lower
-      // bound, never invalidates it.
-      constexpr double kMaxSlots = 600.0;
-      const double min_slot = horizon / kMaxSlots;
-      // A denormal/zero min size (or a degenerate horizon) must not reach
-      // the LP as slot = 0: the negated comparison also catches NaN.
-      if (!(slot >= min_slot)) slot = min_slot;
-      if (!(slot > 0.0) || !std::isfinite(slot)) slot = 1.0;
-    }
     FlowtimeLpOptions lp_opts;
     lp_opts.k = options.k;
     lp_opts.machines = options.machines;
-    lp_opts.slot = slot;
+    lp_opts.slot = options.lp_slot <= 0.0
+                       ? auto_lp_slot(instance, options.machines)
+                       : options.lp_slot;
     const FlowtimeLpResult lp = solve_flowtime_lp(instance, lp_opts);
     out.lp_lb = lp.opt_power_lb;
     if (lp.certificate.certified) {

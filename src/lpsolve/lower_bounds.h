@@ -41,8 +41,8 @@ struct OptBoundsOptions {
   /// Solve the LP lower bound (can be slow for large instances); the trivial
   /// bound and the proxy are always computed.
   bool with_lp = true;
-  /// LP discretization width; 0 = auto (min(1, min_size), coarsened so the
-  /// grid stays at about 600 slots at most).
+  /// LP discretization width; 0 = auto_lp_slot (min(1, min_size),
+  /// coarsened so the grid stays at about 600 slots at most).
   double lp_slot = 0.0;
 };
 

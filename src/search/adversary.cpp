@@ -9,10 +9,8 @@
 #include "analysis/competitive.h"
 #include "core/engine.h"
 #include "core/metrics.h"
-#include "lpsolve/certify.h"
 #include "lpsolve/flowtime_lp.h"
 #include "lpsolve/lower_bounds.h"
-#include "lpsolve/simplex.h"
 #include "obs/obs.h"
 #include "policies/registry.h"
 #include "workload/adversarial.h"
@@ -22,18 +20,22 @@ namespace tempofair::search {
 
 namespace {
 
-/// Slot cap for the search's certification grid: coarser than opt_bounds'
-/// (600) because every record is certified through the *dense* simplex plus
-/// verify_certificate's exact re-solve, whose tableaus hold
-/// rows x (jobs x slots + slacks + artificials) Rationals.  The cap is kept
-/// for memory, not time: at 600 slots x 12 jobs that tableau is about
-/// 612 x 8.4k Rationals, roughly 250 MB.  Coarsening only loosens the bound
-/// (ratios get a slightly smaller denominator), never invalidates it.
-constexpr double kSearchMaxSlots = 96.0;
-
-/// Hard cap on dense-LP variables; above it the denominator falls back to
-/// the certified trivial bound instead of an unbounded simplex tableau.
-constexpr std::size_t kMaxLpVars = 8000;
+/// Memory budget for one certification's LP.  solve_flowtime_lp holds at
+/// most 128 bytes per LP variable (job->slot arc): the 24-byte edge (48 with
+/// vector growth), its two residual arcs in MCMF's cap/cost/head/rev arrays
+/// (48), its flow (8), its unit cost (8, 16 with growth) and its share of
+/// the arc runs (8).  Each slot adds at most 256 bytes (a node's eight
+/// per-node entries, 64; its slot->sink edge, 128; its handle, 8; beta_t as
+/// a Rational and a double, 48), so the grid is capped at the
+/// kAutoLpMaxSlots the search's own grids never exceed (about 150 KiB).
+/// 16 MiB of arcs is 131072 variables, over 200 jobs on a full grid; the
+/// rest of the LP (a node, a source edge and alpha_j per job, again under
+/// 256 bytes) grows with the instance itself.  An LP above either cap --
+/// reachable only through a record's untrusted lp_slot -- is never built:
+/// the denominator falls back to the certified trivial bound.
+constexpr std::size_t kLpMemoryBudgetBytes = std::size_t{16} << 20;
+constexpr std::size_t kLpBytesPerVar = 128;
+constexpr std::size_t kMaxLpVars = kLpMemoryBudgetBytes / kLpBytesPerVar;
 
 /// Mutated-size clamp: keeps every candidate inside Instance validation and
 /// clear of the kMinLpJobSize drop threshold.
@@ -96,19 +98,9 @@ Instance baseline_instance(const SearchOptions& options) {
 
 }  // namespace
 
-double pick_lp_slot(const Instance& instance, int machines) {
-  double slot = std::min(1.0, instance.min_size());
-  const double horizon =
-      instance.horizon_bound(machines, 1.0) - instance.min_release();
-  const double min_slot = horizon / kSearchMaxSlots;
-  // The negated comparison also catches NaN (degenerate sizes/horizons).
-  if (!(slot >= min_slot)) slot = min_slot;
-  if (!(slot > 0.0) || !std::isfinite(slot)) slot = 1.0;
-  return slot;
-}
-
 CertifiedEval evaluate_certified(const Instance& instance,
                                  const SearchOptions& options, double lp_slot) {
+  const obs::ScopedTimer timer("search.certify");
   CertifiedEval out;
   if (instance.empty()) return out;
 
@@ -119,8 +111,9 @@ CertifiedEval evaluate_certified(const Instance& instance,
   request.record_trace = false;
   out.cost_power = flow_lk_power(run(instance, request).schedule, options.k);
 
-  const double slot =
-      lp_slot > 0.0 ? lp_slot : pick_lp_slot(instance, options.machines);
+  const double slot = lp_slot > 0.0
+                          ? lp_slot
+                          : lpsolve::auto_lp_slot(instance, options.machines);
   out.lp_slot = slot;
 
   const lpsolve::CertifiedBound trivial =
@@ -128,32 +121,30 @@ CertifiedEval evaluate_certified(const Instance& instance,
   double lb = trivial.certified ? trivial.value : 0.0;
   bool certified = trivial.certified;
 
-  // The exact LP denominator: float simplex on the dense discretized LP,
-  // then verify_certificate's warm-started exact re-solve.  Failures of any
-  // kind simply leave the trivial bound in place -- never a wrong bound.
+  // The LP denominator, exactly as opt_bounds certifies it: min-cost flow
+  // on the discretized LP, whose repaired dual is checked in exact
+  // arithmetic.  Failures of any kind leave the trivial bound in place --
+  // never a wrong bound.
   lpsolve::FlowtimeLpOptions lp_options;
   lp_options.k = options.k;
   lp_options.machines = options.machines;
   lp_options.slot = slot;
   try {
     // Size the LP from its grid before building it: a record's lp_slot is
-    // untrusted input, and the dense builder allocates num_vars doubles per
-    // row.
+    // untrusted input.
+    const std::size_t slots =
+        lpsolve::flowtime_lp_num_slots(instance, lp_options);
     const std::size_t vars =
         lpsolve::flowtime_lp_num_vars(instance, lp_options);
-    if (vars > kMaxLpVars) {
+    if (slots > lpsolve::kAutoLpMaxSlots || vars > kMaxLpVars) {
       obs::add("search.certify.oversized_lp", 1);
     } else if (vars > 0) {
-      const lpsolve::LinearProgram lp =
-          lpsolve::build_flowtime_lp(instance, lp_options);
-      const lpsolve::LpSolution sol = lpsolve::solve_lp(lp);
-      if (sol.status == lpsolve::SolveStatus::kOptimal) {
-        const lpsolve::CertifiedBound cert = lpsolve::verify_certificate(lp, sol);
-        if (cert.certified) {
-          // LP optimum <= 2 OPT^k, so half of it lower-bounds OPT^k.
-          lb = std::max(lb, cert.value / 2.0);
-          certified = true;
-        }
+      const lpsolve::CertifiedBound cert =
+          lpsolve::solve_flowtime_lp(instance, lp_options).certificate;
+      if (cert.certified) {
+        // LP optimum <= 2 OPT^k, so half of it lower-bounds OPT^k.
+        lb = std::max(lb, cert.value / 2.0);
+        certified = true;
       }
     }
   } catch (const std::exception&) {
@@ -237,6 +228,7 @@ SearchResult search_adversary(const SearchOptions& options) {
   // Screening objective: the cheap side of the ratio bracket (cost vs the
   // SRPT/SJF proxy; three fast-path runs).  Negative = unusable candidate.
   auto screen = [&](const Instance& instance) -> double {
+    const obs::ScopedTimer timer("search.screen");
     lpsolve::OptBoundsOptions bo;
     bo.k = options.k;
     bo.machines = options.machines;

@@ -1,13 +1,17 @@
-// Adversary-instance search against the certified lower bounds.
+// Adversary-instance search against the certified lower bounds on OPT.
 //
-// PR 4 made lower bounds exact (lpsolve's rational certificates) and PR 5
-// made simulation nearly free (FastForwardCore).  This module closes the
-// ROADMAP's loop: an optimizer that *searches* for instances maximizing
+// An optimizer that *searches* for instances maximizing
 //
 //     measured_ratio = (cost_power / certified_lb)^(1/k)
 //
-// per (policy, k, machines, speed) cell -- the tightest known empirical
-// constants for Theorem 1's O(k/eps^k) bound at k in {1, 2, 3}.
+// per (policy, k, machines, speed) cell.  Which side of the bracket this is:
+// certified_lb <= OPT^k, so measured_ratio is an *upper* bound on the
+// policy's l_k ratio on the recorded instance, (cost_power / OPT^k)^(1/k),
+// not a lower bound on its competitive ratio.  A certified lower bound on
+// the ratio needs a certified upper bound on OPT^k (a feasible schedule's
+// exact cost) in the denominator instead; until the search objective and the
+// record format carry that, read every record as "RR's ratio on this
+// instance is at most measured_ratio".
 //
 // Architecture (all deterministic under SearchOptions::seed):
 //
@@ -19,18 +23,22 @@
 //     spike) -- see PAPERS.md.  Every seed is fully certified up front, so
 //     the search result is never worse than the hand-built baseline.
 //
-//  2. Screening.  Local-search mutations (arrival jitter, size scaling, gap
-//     stretch, batchify, duplicate/drop/collide) are ranked by the *cheap*
-//     side of the ratio bracket -- cost vs the SRPT/SJF proxy, three
-//     FastForwardCore runs per candidate -- with evolutionary restarts from
-//     a fresh seed family after a stall.  lb-degenerate candidates
-//     (RatioMeasurement::lb_degenerate) are skipped, never scored.
+//  2. Screening (obs span "search.screen").  Local-search mutations (arrival
+//     jitter, size scaling, gap stretch, batchify, duplicate/drop/collide)
+//     are ranked by the *cheap* side of the ratio bracket -- cost vs the
+//     SRPT/SJF proxy, three FastForwardCore runs per candidate -- with
+//     evolutionary restarts from a fresh seed family after a stall.
+//     lb-degenerate candidates (RatioMeasurement::lb_degenerate) are
+//     skipped, never scored.
 //
-//  3. Certification.  A candidate that screens better than the incumbent
-//     champion did is promoted to the exact denominator: the certified
-//     trivial bound plus the discretized flow-time LP solved by the float
-//     simplex and re-verified by verify_certificate's warm-started exact
-//     re-solve.  Only a certified ratio may become the new record.
+//  3. Certification (obs span "search.certify").  A candidate that screens
+//     better than the incumbent champion did is promoted to the exact
+//     denominator, computed exactly as opt_bounds computes it: the certified
+//     trivial bound max'd with half the discretized flow-time LP, solved by
+//     min-cost flow on the lpsolve::auto_lp_slot grid (<= 602 slots) and
+//     certified by its repaired dual in exact rational arithmetic
+//     (lpsolve::solve_flowtime_lp's certificate).  Only a certified ratio
+//     may become the new record.
 //
 // Every record re-verifies from its JSON alone (verify_record): re-run the
 // policy, rebuild the identical LP grid from the recorded slot width, and
@@ -57,7 +65,8 @@ struct SearchOptions {
   std::uint64_t seed = 1;
   /// Screening evaluations (the budget unit: one mutation scored).
   std::size_t budget = 2000;
-  /// Instance-size cap; keeps the exact LP certification tractable.
+  /// Instance-size cap; keeps the search's instances small and the LP
+  /// certification cheap.
   std::size_t max_jobs = 12;
   /// Consecutive non-improving screens before an evolutionary restart.
   std::size_t restart_after = 60;
@@ -67,7 +76,7 @@ struct SearchOptions {
 
 struct SearchStats {
   std::size_t evals = 0;            ///< screening evaluations performed
-  std::size_t certifications = 0;   ///< full exact-LP promotions
+  std::size_t certifications = 0;   ///< full certified-LP promotions
   std::size_t improvements = 0;     ///< certified record improvements
   std::size_t skipped_degenerate = 0;  ///< lb-degenerate candidates skipped
   std::size_t restarts = 0;
@@ -94,15 +103,15 @@ struct VerifyReport {
   std::string error;  ///< first failed check, empty when ok
 };
 
-/// The deterministic LP slot width the search certifies with: fine enough
-/// for a meaningful bound, coarse enough that the dense exact tableau stays
-/// small in memory.  Recorded per record so re-verification
-/// rebuilds the identical grid.
-[[nodiscard]] double pick_lp_slot(const Instance& instance, int machines);
-
 /// Full certified evaluation: policy run at `speed` for the numerator; the
-/// certified trivial bound max'd with the dense flow-time LP certified by
-/// verify_certificate (warm-started exact re-solve) for the denominator.
+/// certified trivial bound max'd with the MCMF dual certificate of the
+/// flow-time LP, halved, for the denominator.  `lp_slot` = 0 picks
+/// lpsolve::auto_lp_slot; the width used is returned (and recorded) so
+/// re-verification rebuilds the identical grid.  An LP whose grid holds more
+/// slots than an auto_lp_slot grid can (lpsolve::kAutoLpMaxSlots) or more
+/// job->slot arcs than the search's 16 MiB memory budget is refused before
+/// anything is allocated (counter "search.certify.oversized_lp") and leaves
+/// the trivial bound.
 /// ok == false when nothing certifies or the denominator is degenerate.
 [[nodiscard]] CertifiedEval evaluate_certified(const Instance& instance,
                                                const SearchOptions& options,

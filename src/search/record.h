@@ -41,7 +41,9 @@ struct AdversaryRecord {
   double lp_slot = 1.0;
   double cost_power = 0.0;     ///< sum_j F_j^k under `policy` at `speed`
   double certified_lb = 0.0;   ///< exact-certified lower bound on OPT^k
-  double ratio = 0.0;          ///< (cost_power / certified_lb)^(1/k)
+  /// (cost_power / certified_lb)^(1/k): an upper bound on the policy's
+  /// l_k ratio on this instance, since certified_lb <= OPT^k.
+  double ratio = 0.0;
 };
 
 /// Serializes `record` as the v1 JSON object (stable key order, %.17g

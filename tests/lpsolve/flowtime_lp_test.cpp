@@ -15,6 +15,7 @@
 #include "core/metrics.h"
 #include "lpsolve/mincost_flow.h"
 #include "lpsolve/rational.h"
+#include "lpsolve/simplex.h"
 #include "obs/obs.h"
 #include "policies/priority_policies.h"
 #include "workload/generators.h"
@@ -228,6 +229,27 @@ TEST(FlowtimeLp, RejectsSlotCountBeyondDoublePrecision) {
   EXPECT_THROW((void)flowtime_lp_num_vars(inst, opt), std::invalid_argument);
   EXPECT_THROW((void)build_flowtime_lp(inst, opt), std::invalid_argument);
   EXPECT_THROW((void)solve_flowtime_lp(inst, opt), std::invalid_argument);
+}
+
+TEST(FlowtimeLp, AutoSlotGridStaysWithinMaxSlots) {
+  // auto_lp_slot coarsens long horizons to width horizon / kAutoLpSlots; the
+  // grid's padding slot and the rounding of horizon / slot keep it within
+  // kAutoLpMaxSlots, the cap the adversary search puts on a recorded grid.
+  workload::Rng rng(20261018);
+  std::size_t capped = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int m = 1 + trial % 3;
+    const Instance inst = workload::poisson_load(
+        static_cast<std::size_t>(5 + trial % 40), m, 0.3 + 0.003 * trial,
+        workload::ExponentialSize{0.2 + 0.05 * trial}, rng);
+    FlowtimeLpOptions opt;
+    opt.machines = m;
+    opt.slot = auto_lp_slot(inst, m);
+    const std::size_t slots = flowtime_lp_num_slots(inst, opt);
+    EXPECT_LE(slots, kAutoLpMaxSlots) << "trial " << trial;
+    if (slots > kAutoLpSlots) ++capped;
+  }
+  EXPECT_GT(capped, 0u);  // the coarsening binds, not just the size rule
 }
 
 TEST(FlowtimeLp, LateReleaseShiftsCosts) {

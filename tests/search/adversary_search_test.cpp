@@ -2,18 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "lpsolve/certify.h"
+#include "lpsolve/flowtime_lp.h"
+#include "lpsolve/lower_bounds.h"
+#include "lpsolve/simplex.h"
 #include "obs/obs.h"
 #include "search/record.h"
 
 namespace tempofair::search {
 namespace {
 
-// Small budgets keep the exact-LP certifications (the expensive stage)
+// Small budgets keep the LP certifications (the expensive stage)
 // test-sized; the search semantics are identical at every budget.
 SearchOptions tiny_options() {
   SearchOptions so;
@@ -126,15 +132,40 @@ TEST(AdversarySearch, TamperedRecordFailsVerification) {
   bad_slot.lp_slot = 0.0;  // cannot rebuild the certificate's grid
   EXPECT_FALSE(verify_record(bad_slot).ok);
 
-  // A fine lp_slot asks for a dense LP far above the variable cap: it must
-  // be refused from the grid alone, before any row is allocated, leaving the
-  // trivial bound (whose ratio does not match the record's).
+  // A fine lp_slot asks for a grid far finer than any the search builds: it
+  // must be refused from the grid alone, before any node or arc is
+  // allocated, leaving the trivial bound (whose ratio does not match the
+  // record's).
   AdversaryRecord fine_slot = res.best;
   fine_slot.lp_slot = 0.01;
   obs::Sink counters;
   {
     const obs::ScopedSink scope(&counters);
     EXPECT_FALSE(verify_record(fine_slot).ok);
+  }
+  EXPECT_EQ(counters.value("search.certify.oversized_lp"), 1u);
+
+  // The grid starts at the first release even when that job is too small
+  // for the LP: a leading tiny job and a far later release ask for about
+  // 1e8 slots but only a few hundred job->slot arcs, so the slot count
+  // alone must refuse it.
+  AdversaryRecord long_grid = res.best;
+  long_grid.releases = {0.0, 1e6};
+  long_grid.sizes = {lpsolve::kMinLpJobSize / 10.0, 1.0};
+  long_grid.lp_slot = 0.01;
+  lpsolve::FlowtimeLpOptions lp;
+  lp.k = long_grid.k;
+  lp.machines = long_grid.machines;
+  lp.slot = long_grid.lp_slot;
+  const std::vector<std::pair<Time, Work>> long_pairs{
+      {0.0, long_grid.sizes[0]}, {1e6, 1.0}};
+  const Instance long_inst = Instance::from_pairs(long_pairs);
+  EXPECT_GT(lpsolve::flowtime_lp_num_slots(long_inst, lp), 100'000'000u);
+  EXPECT_LT(lpsolve::flowtime_lp_num_vars(long_inst, lp), 1000u);
+  counters.clear();
+  {
+    const obs::ScopedSink scope(&counters);
+    EXPECT_FALSE(verify_record(long_grid).ok);
   }
   EXPECT_EQ(counters.value("search.certify.oversized_lp"), 1u);
 
@@ -156,6 +187,96 @@ TEST(AdversarySearch, MatchesOrBeatsHandBuiltBaseline) {
   const SearchResult res = search_adversary(so);
   ASSERT_TRUE(res.found);
   EXPECT_GE(res.best.ratio, baseline.ratio * (1.0 - 1e-9));
+}
+
+TEST(AdversarySearch, TwentyJobSearchCertifiesThroughTheLp) {
+  // Every certification of a max_jobs = 20 search goes through the LP.
+  SearchOptions so = tiny_options();
+  so.max_jobs = 20;
+  obs::Sink counters;
+  SearchResult res;
+  {
+    const obs::ScopedSink scope(&counters);
+    res = search_adversary(so);
+  }
+  ASSERT_TRUE(res.found);
+  EXPECT_EQ(counters.value("search.certify.oversized_lp"), 0u);
+  EXPECT_EQ(counters.value("lpcert.flow.certified"), res.stats.certifications);
+  EXPECT_EQ(counters.value("lpcert.flow.uncertified"), 0u);
+  EXPECT_TRUE(verify_record(res.best).ok);
+
+  // One small job pins the grid at its 600-slot cap: 20 jobs then need
+  // about 12k LP variables, more than a dense tableau could hold, and the
+  // MCMF certificate must still carry the denominator.
+  const auto seeds = seed_instances(so);
+  std::vector<std::pair<Time, Work>> pairs;
+  for (const Job& j : seeds.front().second.jobs()) {
+    pairs.emplace_back(j.release, j.size);
+  }
+  ASSERT_EQ(pairs.size(), 20u);
+  pairs.front().second = 0.01;
+  const Instance pinned = Instance::from_pairs(pairs);
+  counters.clear();
+  CertifiedEval eval;
+  {
+    const obs::ScopedSink scope(&counters);
+    eval = evaluate_certified(pinned, so);
+  }
+  ASSERT_TRUE(eval.ok);
+  lpsolve::FlowtimeLpOptions lp;
+  lp.k = so.k;
+  lp.slot = eval.lp_slot;
+  EXPECT_GT(lpsolve::flowtime_lp_num_vars(pinned, lp), 8000u);
+  EXPECT_EQ(counters.value("search.certify.oversized_lp"), 0u);
+  EXPECT_EQ(counters.value("lpcert.flow.certified"), 1u);
+  EXPECT_GT(eval.certified_lb,
+            lpsolve::certified_trivial_bound(pinned, so.k).value);
+}
+
+TEST(AdversarySearch, CertifiedLbIsTheMcmfCertificateWithinTheDenseOptimum) {
+  // Differential check with the dense path as the oracle: the search's
+  // denominator is exactly max(certified trivial bound, MCMF certificate /
+  // 2), and the MCMF certificate sits within 1e-7 (relative) below the
+  // dense exact optimum on the same grid.
+  for (const int m : {1, 2}) {
+    for (const double k : {1.0, 2.0, 3.0}) {
+      SearchOptions so = tiny_options();
+      so.max_jobs = 6;
+      so.machines = m;
+      so.k = k;
+      for (const auto& [family, inst] : seed_instances(so)) {
+        SCOPED_TRACE(family + " m=" + std::to_string(m) +
+                     " k=" + std::to_string(k));
+        const CertifiedEval eval = evaluate_certified(inst, so);
+        ASSERT_TRUE(eval.ok);
+
+        lpsolve::FlowtimeLpOptions lp;
+        lp.k = k;
+        lp.machines = m;
+        lp.slot = eval.lp_slot;
+        EXPECT_EQ(eval.lp_slot, lpsolve::auto_lp_slot(inst, m));
+        const lpsolve::CertifiedBound mcmf =
+            lpsolve::solve_flowtime_lp(inst, lp).certificate;
+        const lpsolve::CertifiedBound trivial =
+            lpsolve::certified_trivial_bound(inst, k);
+        ASSERT_TRUE(mcmf.certified);
+        ASSERT_TRUE(trivial.certified);
+        EXPECT_EQ(eval.certified_lb, std::max(trivial.value, mcmf.value / 2.0));
+
+        const lpsolve::LinearProgram dense =
+            lpsolve::build_flowtime_lp(inst, lp);
+        const lpsolve::CertifiedBound exact =
+            lpsolve::verify_certificate(dense, lpsolve::solve_lp(dense));
+        ASSERT_TRUE(exact.certified);
+        const double d = exact.value / 2.0;
+        EXPECT_LE(mcmf.value / 2.0, d);
+        EXPECT_GE(mcmf.value / 2.0, (1.0 - 1e-7) * d);
+        const double oracle = std::max(trivial.value, d);
+        EXPECT_LE(eval.certified_lb, oracle);
+        EXPECT_GE(eval.certified_lb, (1.0 - 1e-7) * oracle);
+      }
+    }
+  }
 }
 
 TEST(AdversarySearch, DegenerateInstancesDoNotCertify) {
