@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common.h"
+#include "harness/cli.h"
 #include "obs/obs.h"
 
 namespace tempofair::bench {
@@ -53,18 +54,31 @@ std::string json_escape(const std::string& text) {
 
 }  // namespace
 
-RunContext::RunContext(const harness::Cli& cli, harness::ThreadPool& pool,
-                       std::ostream& out, bool smoke, bool csv)
-    : cli_(&cli), pool_(&pool), out_(&out), smoke_(smoke), csv_(csv) {}
+RunContext::RunContext(const ParamOverrides& overrides,
+                       harness::ThreadPool& pool, std::ostream& out,
+                       bool smoke, bool csv)
+    : overrides_(&overrides), pool_(&pool), out_(&out), smoke_(smoke),
+      csv_(csv) {}
+
+const std::string* RunContext::override_for(const std::string& name) const {
+  const auto it = overrides_->find(name);
+  if (it == overrides_->end() || it->second.empty()) return nullptr;
+  return &it->second;
+}
 
 long RunContext::int_param(const std::string& name, long fallback) {
-  const long v = cli_->get_int(name, fallback);
+  const std::string* given = override_for(name);
+  const long v =
+      given != nullptr ? harness::detail::parse_long(name, *given) : fallback;
   params_[name] = std::to_string(v);
   return v;
 }
 
 double RunContext::double_param(const std::string& name, double fallback) {
-  const double v = cli_->get_double(name, fallback);
+  const std::string* given = override_for(name);
+  const double v = given != nullptr
+                       ? harness::detail::parse_double(name, *given)
+                       : fallback;
   std::ostringstream text;
   text << v;
   params_[name] = text.str();
@@ -73,7 +87,8 @@ double RunContext::double_param(const std::string& name, double fallback) {
 
 std::string RunContext::string_param(const std::string& name,
                                      const std::string& fallback) {
-  const std::string v = cli_->get_string(name, fallback);
+  const std::string* given = override_for(name);
+  const std::string v = given != nullptr ? *given : fallback;
   params_[name] = v;
   return v;
 }
@@ -86,7 +101,7 @@ std::uint64_t RunContext::seed_param(std::uint64_t fallback) {
 std::size_t RunContext::size_param(const std::string& name,
                                    std::size_t fallback, std::size_t floor) {
   std::size_t dflt = fallback;
-  if (smoke_ && !cli_->has(name)) {
+  if (smoke_ && overrides_->count(name) == 0) {
     dflt = std::max(fallback / 8, std::min(floor, fallback));
   }
   return static_cast<std::size_t>(int_param(name, static_cast<long>(dflt)));
@@ -175,14 +190,15 @@ std::vector<const ExperimentSpec*> select_experiments(
   return selected;
 }
 
-RunOutcome run_experiment(const ExperimentSpec& spec, const harness::Cli& cli,
+RunOutcome run_experiment(const ExperimentSpec& spec,
+                          const ParamOverrides& overrides,
                           harness::ThreadPool& pool, bool smoke, bool csv) {
   RunOutcome outcome;
   outcome.id = spec.id;
 
   obs::Sink sink;
   std::ostringstream buffer;
-  RunContext ctx(cli, pool, buffer, smoke, csv);
+  RunContext ctx(overrides, pool, buffer, smoke, csv);
 
   const auto wall_start = std::chrono::steady_clock::now();
   {

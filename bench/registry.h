@@ -16,16 +16,20 @@
 #include <vector>
 
 #include "analysis/report.h"
-#include "harness/cli.h"
 #include "harness/thread_pool.h"
 
 namespace tempofair::bench {
+
+/// Param overrides given on the runner's command line: param name -> value
+/// text (e.g. "seed" -> "7").  An experiment reads each param with its own
+/// fallback; a name absent here (or mapped to "") takes that fallback.
+using ParamOverrides = std::map<std::string, std::string>;
 
 /// Everything an experiment's run function needs from the runner.  Params
 /// read through the typed accessors are recorded for the run artifact.
 class RunContext {
  public:
-  RunContext(const harness::Cli& cli, harness::ThreadPool& pool,
+  RunContext(const ParamOverrides& overrides, harness::ThreadPool& pool,
              std::ostream& out, bool smoke, bool csv);
 
   /// Where all experiment output goes (buffered by the runner so parallel
@@ -36,7 +40,8 @@ class RunContext {
   [[nodiscard]] bool csv() const noexcept { return csv_; }
   [[nodiscard]] bool smoke() const noexcept { return smoke_; }
 
-  /// --name, or `fallback`; recorded as a run param.
+  /// The override for `name` (strictly parsed; a malformed number throws
+  /// harness::CliError), or `fallback`; recorded as a run param.
   [[nodiscard]] long int_param(const std::string& name, long fallback);
   [[nodiscard]] double double_param(const std::string& name, double fallback);
   /// String-valued param (workload specs, trace paths); recorded verbatim.
@@ -62,7 +67,10 @@ class RunContext {
   }
 
  private:
-  const harness::Cli* cli_;
+  /// The override text for `name`, or nullptr.
+  [[nodiscard]] const std::string* override_for(const std::string& name) const;
+
+  const ParamOverrides* overrides_;
   harness::ThreadPool* pool_;
   std::ostream* out_;
   bool smoke_;
@@ -134,7 +142,7 @@ struct RunOutcome {
 /// accounts wall/CPU time, captures output and converts exceptions into
 /// status = "error".  Safe to call from a pool task (nested parallelism).
 [[nodiscard]] RunOutcome run_experiment(const ExperimentSpec& spec,
-                                        const harness::Cli& cli,
+                                        const ParamOverrides& overrides,
                                         harness::ThreadPool& pool, bool smoke,
                                         bool csv);
 

@@ -17,10 +17,24 @@
 using namespace tempofair;
 
 int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv);
-  const int depth = static_cast<int>(cli.get_int("depth", 9));
-  const double k = cli.get_double("k", 2.0);
-  const double eps = cli.get_double("eps", 0.05);
+  harness::Options options("adversarial_analysis");
+  options.value("depth", 9, "adversarial family depth")
+      .value("k", 2.0, "l_k norm exponent")
+      .value("eps", 0.05, "dual-fitting epsilon");
+  harness::Parsed cli;
+  try {
+    cli = options.parse(argc, argv);
+  } catch (const harness::CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    options.print_help(std::cout);
+    return 0;
+  }
+  const int depth = static_cast<int>(cli.get_int("depth"));
+  const double k = cli.get_double("k");
+  const double eps = cli.get_double("eps");
 
   const Instance inst = workload::geometric_levels(depth);
   std::cout << "Adversarial family: geometric_levels(" << depth << ") -- "

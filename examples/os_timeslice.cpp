@@ -17,10 +17,24 @@
 using namespace tempofair;
 
 int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv);
-  const double cs = cli.get_double("switch-cost", 0.01);
-  const std::size_t n = static_cast<std::size_t>(cli.get_int("jobs", 250));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+  harness::Options options("os_timeslice");
+  options.value("switch-cost", 0.01, "context-switch cost per quantum")
+      .value("jobs", 250, "jobs in the workload")
+      .value("seed", 3, "RNG seed");
+  harness::Parsed cli;
+  try {
+    cli = options.parse(argc, argv);
+  } catch (const harness::CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    options.print_help(std::cout);
+    return 0;
+  }
+  const double cs = cli.get_double("switch-cost");
+  const std::size_t n = static_cast<std::size_t>(cli.get_int("jobs"));
+  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   const Instance inst = workload::make_instance(
       workload::WorkloadSpec::poisson(n, 0.85, workload::UniformSize{0.5, 2.0},

@@ -29,9 +29,22 @@ std::vector<Packet> backlogged(FlowId flows, double bytes_per_flow) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv);
-  const FlowId flows = static_cast<FlowId>(cli.get_int("flows", 4));
-  const double rate = cli.get_double("rate", 1.0);
+  harness::Options options("packet_fairness");
+  options.value("flows", 4, "flows sharing the link")
+      .value("rate", 1.0, "link rate");
+  harness::Parsed cli;
+  try {
+    cli = options.parse(argc, argv);
+  } catch (const harness::CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    options.print_help(std::cout);
+    return 0;
+  }
+  const FlowId flows = static_cast<FlowId>(cli.get_int("flows"));
+  const double rate = cli.get_double("rate");
 
   const auto packets = backlogged(flows, 2048.0);
   const double window = 2048.0;  // every flow stays backlogged this long

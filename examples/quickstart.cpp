@@ -15,11 +15,24 @@
 using namespace tempofair;
 
 int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv);
+  harness::Options options("quickstart");
+  options.value("machines", 1, "identical machines")
+      .value("speed", 1.0, "speed augmentation s");
+  harness::Parsed cli;
+  try {
+    cli = options.parse(argc, argv);
+  } catch (const harness::CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    options.print_help(std::cout);
+    return 0;
+  }
   RunRequest request;
   request.policy = "rr";
-  request.machines = static_cast<int>(cli.get_int("machines", 1));
-  request.speed = cli.get_double("speed", 1.0);
+  request.machines = static_cast<int>(cli.get_int("machines"));
+  request.speed = cli.get_double("speed");
 
   // Five jobs: (release, size).  Job 2 is long; jobs 3-4 arrive late.
   const Instance instance = Instance::from_pairs(

@@ -19,11 +19,26 @@
 using namespace tempofair;
 
 int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv);
-  const int machines = static_cast<int>(cli.get_int("machines", 8));
-  const std::size_t n = static_cast<std::size_t>(cli.get_int("requests", 400));
-  const double load = cli.get_double("load", 0.9);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  harness::Options options("server_farm");
+  options.value("machines", 8, "identical machines")
+      .value("requests", 400, "requests in the stream")
+      .value("load", 0.9, "utilization rho")
+      .value("seed", 1, "RNG seed");
+  harness::Parsed cli;
+  try {
+    cli = options.parse(argc, argv);
+  } catch (const harness::CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    options.print_help(std::cout);
+    return 0;
+  }
+  const int machines = static_cast<int>(cli.get_int("machines"));
+  const std::size_t n = static_cast<std::size_t>(cli.get_int("requests"));
+  const double load = cli.get_double("load");
+  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   const Instance requests = workload::make_instance(
       workload::WorkloadSpec::poisson(n, load,

@@ -20,10 +20,24 @@ using namespace tempofair;
 using namespace tempofair::parsim;
 
 int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv);
-  const std::size_t n = static_cast<std::size_t>(cli.get_int("n", 120));
-  const double seq = cli.get_double("seq", 3.0);
-  const double gap = cli.get_double("gap", 1.3);
+  harness::Options options("speedup_curves");
+  options.value("n", 120, "jobs in the hard stream")
+      .value("seq", 3.0, "sequential phase length")
+      .value("gap", 1.3, "release gap");
+  harness::Parsed cli;
+  try {
+    cli = options.parse(argc, argv);
+  } catch (const harness::CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (cli.help_requested()) {
+    options.print_help(std::cout);
+    return 0;
+  }
+  const std::size_t n = static_cast<std::size_t>(cli.get_int("n"));
+  const double seq = cli.get_double("seq");
+  const double gap = cli.get_double("gap");
 
   std::cout << "Stream of " << n << " jobs: parallel(1.0) then sequential("
             << seq << "), arriving every " << gap << ".\n"

@@ -21,16 +21,6 @@ namespace {
   throw std::runtime_error("tempofair::simulate: " + msg);
 }
 
-void check_cancel(const EngineOptions& options, std::string_view policy_name,
-                  Time now) {
-  if (options.cancel != nullptr &&
-      options.cancel->load(std::memory_order_relaxed)) {
-    throw RunCancelled("tempofair::run: cancelled with policy " +
-                       std::string(policy_name) + " at t=" +
-                       std::to_string(now));
-  }
-}
-
 /// Packages a finished schedule as a RunResult (stats computed once here,
 /// where every facade overload converges).
 [[nodiscard]] RunResult finish_run(Schedule schedule, std::string_view policy,
@@ -73,8 +63,6 @@ EngineOptions RunRequest::engine_options() const {
   options.use_fast_path = use_fast_path;
   options.invariants = invariants;
   options.invariant_sample_period = invariant_sample_period;
-  options.live_metrics = live;
-  options.cancel = cancel;
   return options;
 }
 
@@ -156,10 +144,6 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
     }
   };
 
-  if (options.live_metrics != nullptr) {
-    options.live_metrics->set_expected(instance.n());
-  }
-
   if (instance.empty()) {
     finish_invariants();
     obs::add("engine.runs", 1);
@@ -213,7 +197,6 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
   std::size_t intervals_emitted = 0;
 
   while (!alive_.empty() || next_arrival < order.size()) {
-    check_cancel(options, policy.name(), now);
     if (++steps > options.max_steps) {
       engine_fail("exceeded max_steps=" + std::to_string(options.max_steps) +
                   " with policy " + std::string(policy.name()));
@@ -348,9 +331,6 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
     for (auto it = completing_.rbegin(); it != completing_.rend(); ++it) {
       const std::size_t i = *it;
       schedule.set_completion(alive_[i].id, now);
-      if (options.live_metrics != nullptr) {
-        options.live_metrics->record(now - alive_[i].release);
-      }
       policy.on_completion(alive_[i].id, now);
       const auto p = static_cast<std::ptrdiff_t>(i);
       alive_.erase(alive_.begin() + p);

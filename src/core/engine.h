@@ -8,18 +8,15 @@
 // fairness and dual-fitting analyses.
 //
 // Public entry point: the RunRequest/RunResult facade (`run(...)` below).
-// One serializable request struct describes a run completely -- policy spec,
-// machine/speed configuration, safety valves, live hooks -- and one result
-// struct carries everything a caller consumes, so the CLI tools, the bench
-// registry, and tempofaird's wire protocol all speak the same API.  The
-// older EngineOptions + simulate() overloads remain as thin deprecated
-// shims over the same cores.
+// One request struct describes a run completely -- policy spec,
+// machine/speed configuration, safety valves -- and one result struct
+// carries everything a caller consumes, so the CLI tools and the bench
+// registry speak the same API.  The older EngineOptions overloads remain as
+// thin deprecated shims over the same cores.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,14 +31,6 @@
 #include "core/share_rules.h"
 
 namespace tempofair {
-
-/// Thrown when a run stops because RunRequest::cancel (or
-/// EngineOptions::cancel) was set.  Derives from std::runtime_error so
-/// legacy catch sites treat it as any other aborted run.
-class RunCancelled : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct EngineOptions {
   int machines = 1;
@@ -80,26 +69,16 @@ struct EngineOptions {
   /// exhaustive-mode violation throws).  The facade wires this into
   /// RunResult::invariants.  Must outlive the run.
   InvariantStats* invariant_stats = nullptr;
-  /// Live hooks (not part of the serializable request): when set, the engine
-  /// appends every completion's flow time here, so another thread can watch
-  /// percentiles / l_k norms of a run in flight.  Must outlive the run.
-  LiveMetrics* live_metrics = nullptr;
-  /// When set, the engine polls this flag once per event and aborts the run
-  /// with RunCancelled as soon as it reads true.  Must outlive the run.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
-/// One simulation run, described completely and serializably.
+/// One simulation run, described completely.
 ///
 /// This is THE public way to run the engine: the CLI tools build one from
-/// flags (harness/cli.h's shared vocabulary), the bench experiments build
-/// one per measurement, and tempofaird decodes one from a SUBMIT_JOBS frame
-/// -- identical semantics everywhere.  The workload itself (an Instance or
-/// a JobStream) travels alongside the request, since workloads have their
-/// own storage formats (CSV files, generator specs, wire frames).
-///
-/// Everything except the live hooks round-trips through the wire encoding
-/// (serve/protocol.h) and the flag vocabulary (harness/cli.h).
+/// flags (harness/cli.h's shared vocabulary) and the bench experiments
+/// build one per measurement -- identical semantics everywhere.  The
+/// workload itself (an Instance or a JobStream) travels alongside the
+/// request, since workloads have their own storage formats (CSV files,
+/// generator specs).
 struct RunRequest {
   /// Policy spec, resolved through policies/registry.h ("rr", "srpt",
   /// "laps:0.5", ...).  Ignored by the overloads that take an explicit
@@ -107,10 +86,9 @@ struct RunRequest {
   std::string policy = "rr";
   /// Optional workload spec string ("poisson:n=1000,load=0.9", "trace:f.csv",
   /// ...; see workload/spec.h).  The engine itself never reads it -- the
-  /// field exists so one serializable request can *name* its workload:
-  /// workload::run_spec() resolves it locally, and tempofaird synthesizes
-  /// the jobs server-side when a SUBMIT carries a spec instead of job rows.
-  /// Empty means the workload travels out-of-band (an Instance/JobStream).
+  /// field exists so one request can *name* its workload, which
+  /// workload::run_spec() resolves.  Empty means the workload travels
+  /// alongside (an Instance/JobStream).
   std::string workload;
   int machines = 1;
   /// Speed augmentation s (OPT is always measured at speed 1).
@@ -125,14 +103,11 @@ struct RunRequest {
   std::size_t max_zero_progress_steps = 1000;
   bool use_fast_path = true;
   /// Invariant checking mode + sampling period (core/invariants.h); both
-  /// serialize through the wire protocol and the CLI flag vocabulary.
+  /// are set through the CLI flag vocabulary.
   InvariantMode invariants = default_invariant_mode();
   std::size_t invariant_sample_period = default_invariant_sample_period();
-  /// Live hooks; see EngineOptions.  Not serialized.
-  LiveMetrics* live = nullptr;
-  const std::atomic<bool>* cancel = nullptr;
 
-  /// The equivalent legacy options struct (live hooks included).
+  /// The equivalent legacy options struct.
   [[nodiscard]] EngineOptions engine_options() const;
 };
 
@@ -256,8 +231,8 @@ class EngineCore {
   // --- RunRequest facade (preferred) ---------------------------------------
   /// Runs the request's policy spec on `instance`.  Throws
   /// std::invalid_argument for a bad request or unknown policy spec,
-  /// RunCancelled if request.cancel fires, std::runtime_error if the policy
-  /// misbehaves (invalid rates, deadlock, livelock, step explosion).
+  /// std::runtime_error if the policy misbehaves (invalid rates, deadlock,
+  /// livelock, step explosion).
   [[nodiscard]] RunResult run(const Instance& instance,
                               const RunRequest& request);
   /// Streaming variant; requires a FastForward-capable policy spec and
@@ -312,8 +287,7 @@ class EngineCore {
 };
 
 /// Runs `request` on `instance` with a fresh EngineCore.  The single entry
-/// point shared by the CLI, the bench registry, and the tempofaird wire
-/// protocol.
+/// point shared by the CLI tools and the bench registry.
 [[nodiscard]] RunResult run(const Instance& instance,
                             const RunRequest& request = {});
 

@@ -262,8 +262,6 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   schedule.set_trace_recorded(options.record_trace);
 
   const std::size_t total_jobs = arrivals.total();
-  LiveMetrics* const live = options.live_metrics;
-  if (live != nullptr) live->set_expected(total_jobs);
 
   inv_.begin_run(
       InvariantRunProfile{options.machines, options.speed,
@@ -454,11 +452,6 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   std::vector<double> wrates;  // kWeightedShare per-event rates, id order
 
   while (alive_count() > 0 || !arrivals.exhausted()) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      throw RunCancelled("tempofair::run: cancelled with policy " + name +
-                         " at t=" + std::to_string(now));
-    }
     if (++steps > options.max_steps) {
       engine_fail("exceeded max_steps=" + std::to_string(options.max_steps) +
                   " with policy " + name);
@@ -838,7 +831,6 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
       order_.resize(w);
       for (const JobId id : completing_) {
         schedule.set_completion(id, now);
-        if (live != nullptr) live->record(now - schedule.release(id));
         if (keep_ids) ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(pos_of(id)));
       }
     } else if (ranked) {
@@ -860,12 +852,8 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
         }
       }
       ranked_.resize(w);
-      // Complete in id order, as the id-sorted layouts do: LiveMetrics
-      // keeps flows in completion order.
-      std::sort(completing_.begin(), completing_.end());
       for (const JobId id : completing_) {
         schedule.set_completion(id, now);
-        if (live != nullptr) live->record(now - schedule.release(id));
         if (keep_ids) {
           ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(pos_of(id)));
         }
@@ -931,7 +919,6 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
         }
         for (const JobId id : completing_) {
           schedule.set_completion(id, now);
-          if (live != nullptr) live->record(now - schedule.release(id));
           const auto p = static_cast<std::ptrdiff_t>(pos_of(id));
           ids_.erase(ids_.begin() + p);
           rem_.erase(rem_.begin() + p);

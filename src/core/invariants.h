@@ -23,8 +23,8 @@
 // Violations never mutate the run: checkers record structured
 // InvariantViolation diagnostics into InvariantStats, which the engine
 // surfaces through RunResult::invariants and obs:: counters
-// ("invariants.*"), so daemon operators see corrupt-run signals per session
-// without log scraping.
+// ("invariants.*"), so callers see corrupt-run signals per run without log
+// scraping.
 //
 // Registering a checker for a new policy or kernel:
 //

@@ -14,7 +14,7 @@
 //       with id == i, release nondecreasing in i, size > 0, weight > 0,
 //       all finite and releases >= 0.
 //
-// Generators live in workload/stream.h; InstanceJobStream adapts an
+// Generators live in workload/stream.h; detail::InstanceRefStream adapts an
 // existing Instance for tests and equivalence checks.
 #pragma once
 

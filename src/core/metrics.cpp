@@ -30,13 +30,6 @@ double interpolate(double v_lo, double v_hi, double frac) {
   return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
-/// Interpolated percentile over an already-sorted, non-empty vector
-/// (LiveMetrics' cached path, which serves repeated queries).
-double percentile_sorted(std::span<const double> sorted, double p) {
-  const PercentileRank r = percentile_rank(sorted.size(), p);
-  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
-}
-
 /// Interpolated percentile of a non-empty span by selection instead of a
 /// sort.  nth_element puts the lo-th order statistic at `lo` with nothing
 /// smaller after it, so the hi-th one is the least value after `lo`: the
@@ -244,66 +237,6 @@ double weighted_flow_lk_power(const Schedule& schedule, double k) {
 double weighted_flow_lk_norm(const Schedule& schedule, double k) {
   const std::vector<Time> flows = schedule.flows();
   return weighted_lk_norm(flows, schedule.weights(), k);
-}
-
-void LiveMetrics::set_expected(std::size_t n) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  expected_ = n;
-}
-
-void LiveMetrics::record(Time flow) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  flows_.push_back(flow);
-  sorted_valid_ = false;
-}
-
-void LiveMetrics::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  flows_.clear();
-  expected_ = 0;
-  sorted_.clear();
-  sorted_valid_ = false;
-}
-
-std::size_t LiveMetrics::completed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return flows_.size();
-}
-
-std::size_t LiveMetrics::expected() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return expected_;
-}
-
-FlowStats LiveMetrics::snapshot() const {
-  std::vector<double> copy = flows();
-  return flow_stats_in_place(copy);
-}
-
-double LiveMetrics::lk(double k) const { return lk_norm(flows(), k); }
-
-double LiveMetrics::percentile(double p) const {
-  if (p < 0.0 || p > 100.0) {
-    throw std::invalid_argument("percentile: p outside [0,100]");
-  }
-  // Percentile queries re-sort nothing while no job completes in between:
-  // the sorted view is cached under the same lock and invalidated by
-  // record()/reset().  Daemon QUERY_METRICS polls (often several percentiles
-  // per poll, many polls per completion) pay O(log n) lookups, not
-  // O(n log n) copies, on live runs.
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (flows_.empty()) return 0.0;
-  if (!sorted_valid_) {
-    sorted_ = flows_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-  return percentile_sorted(sorted_, p);
-}
-
-std::vector<double> LiveMetrics::flows() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return flows_;
 }
 
 }  // namespace tempofair

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -49,53 +48,6 @@ struct FlowStats {
 /// (nth_element), not sorted for, and equal percentile() bit for bit.
 [[nodiscard]] FlowStats flow_stats(std::span<const double> flows);
 
-/// Incremental flow-time metrics over a run still in flight.
-///
-/// The engine appends one flow per completion (RunRequest::live /
-/// EngineOptions::live_metrics); any other thread may snapshot percentiles
-/// and l_k norms of the completed-so-far prefix concurrently.  This is the
-/// mid-run observability primitive behind tempofaird's QUERY_METRICS: a
-/// tenant watches p99 / l_2 of its workload while the simulation runs.
-///
-/// Thread-safe.  Completion-granular (locks once per completed job, never
-/// per engine event), so it adds no measurable cost to the fast path.
-class LiveMetrics {
- public:
-  LiveMetrics() = default;
-  LiveMetrics(const LiveMetrics&) = delete;
-  LiveMetrics& operator=(const LiveMetrics&) = delete;
-
-  /// Declares how many jobs the run will complete (for progress queries).
-  void set_expected(std::size_t n);
-  /// Records one completed job's flow time.  Called by the engine.
-  void record(Time flow);
-  /// Forgets everything (reuse across runs).
-  void reset();
-
-  /// Completed-job count so far.
-  [[nodiscard]] std::size_t completed() const;
-  /// Declared total (0 if never set).
-  [[nodiscard]] std::size_t expected() const;
-  /// Full summary statistics of the completed-so-far flows.
-  [[nodiscard]] FlowStats snapshot() const;
-  /// l_k norm of the completed-so-far flows (k may be +infinity).
-  [[nodiscard]] double lk(double k) const;
-  /// p-th percentile (p in [0,100]) of the completed-so-far flows.  Served
-  /// from a sorted cache invalidated per completion, so repeated queries
-  /// between completions do not re-sort.
-  [[nodiscard]] double percentile(double p) const;
-  /// Copy of the completed-so-far flows, in completion order.
-  [[nodiscard]] std::vector<double> flows() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<double> flows_;
-  std::size_t expected_ = 0;
-  /// Sorted view of flows_, rebuilt lazily by percentile(); guarded by
-  /// mutex_ and invalidated by record()/reset().
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-};
 /// Summary statistics of a schedule's flow times.
 [[nodiscard]] FlowStats flow_stats(const Schedule& schedule);
 

@@ -40,49 +40,6 @@ double parse_double(const std::string& flag, const std::string& text) {
 
 }  // namespace detail
 
-Cli::Cli(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      token.erase(0, 2);
-      const std::size_t eq = token.find('=');
-      if (eq != std::string::npos) {
-        options_[token.substr(0, eq)] = token.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        options_[token] = argv[++i];
-      } else {
-        options_[token] = "";
-      }
-    } else {
-      positional_.push_back(std::move(token));
-    }
-  }
-}
-
-bool Cli::has(const std::string& name) const { return options_.count(name) > 0; }
-
-std::optional<std::string> Cli::get(const std::string& name) const {
-  const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return std::nullopt;
-  return it->second;
-}
-
-double Cli::get_double(const std::string& name, double fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  return detail::parse_double(name, *v);
-}
-
-long Cli::get_int(const std::string& name, long fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  return detail::parse_long(name, *v);
-}
-
-std::string Cli::get_string(const std::string& name, const std::string& fallback) const {
-  return get(name).value_or(fallback);
-}
-
 Options::Options(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
 
@@ -147,10 +104,12 @@ Parsed Options::parse(int argc, const char* const* argv) const {
       parsed.given_.insert(name);
       continue;
     }
+    // A separate value never starts with "--": "--out --csv" is a missing
+    // value, not out="--csv".  "--out=--csv" still passes it inline.
     std::string text;
     if (has_inline) {
       text = std::move(inline_value);
-    } else if (i + 1 < argc) {
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       text = argv[++i];
     } else {
       throw CliError("--" + name + ": missing value");

@@ -1,21 +1,14 @@
-// Command-line parsing shared by examples, experiment binaries and the
-// bench runner.
+// Command-line parsing shared by the tools and examples.
 //
-// Two layers:
-//   * Options / Parsed -- the typed API.  Options are registered up front
-//     (opt.flag("csv"), opt.value<double>("speed", 4.4, "help")), --help is
-//     generated from the registrations, unknown flags and malformed values
-//     are hard CliError-s, and Parsed hands back typed values with the
-//     registered fallback filled in.
-//   * Cli -- the legacy loose scanner (kept as a thin wrapper during the
-//     migration): no registration, unknown flags accepted silently, typed
-//     accessors take their fallback per call.  New code should register an
-//     Options set instead.
+// Options / Parsed is the one typed API.  Options are registered up front
+// (opt.flag("csv"), opt.value<double>("speed", 4.4, "help")), --help is
+// generated from the registrations, unknown flags, missing values and
+// malformed values are hard CliError-s, and Parsed hands back typed values
+// with the registered fallback filled in.
 #pragma once
 
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -36,37 +29,12 @@ class CliError : public std::invalid_argument {
 
 namespace detail {
 /// Strict numeric parses: the whole token must be consumed and in range;
-/// errors name the offending flag.  Shared by Cli and Options.
+/// errors name the offending flag.  Used by Options and by callers that
+/// parse numeric text of their own.
 [[nodiscard]] long parse_long(const std::string& flag, const std::string& text);
 [[nodiscard]] double parse_double(const std::string& flag,
                                   const std::string& text);
 }  // namespace detail
-
-class Cli {
- public:
-  Cli(int argc, const char* const* argv);
-
-  /// True if --name was passed (with or without a value).
-  [[nodiscard]] bool has(const std::string& name) const;
-  /// Value of --name, if given with one.
-  [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name, double fallback) const;
-  [[nodiscard]] long get_int(const std::string& name, long fallback) const;
-  [[nodiscard]] std::string get_string(const std::string& name,
-                                       const std::string& fallback) const;
-
-  /// Positional arguments (non --option tokens), in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
-  /// Experiment binaries call this: true => print CSV instead of tables.
-  [[nodiscard]] bool csv() const { return has("csv"); }
-
- private:
-  std::map<std::string, std::string> options_;  // value may be empty
-  std::vector<std::string> positional_;
-};
 
 class Parsed;
 
@@ -100,7 +68,9 @@ class Options {
   }
 
   /// Parses argv.  Throws CliError on an unknown option, a flag given a
-  /// value, a missing value, or a value that fails its type's parse.
+  /// value, a missing value, or a value that fails its type's parse.  A
+  /// value given as the next argument must not start with "--" (that is
+  /// the next flag); pass such a value inline, as --name=--text.
   /// --help sets Parsed::help_requested() instead of failing.
   [[nodiscard]] Parsed parse(int argc, const char* const* argv) const;
 
@@ -156,7 +126,7 @@ class Parsed {
 // --- Shared flag vocabulary -------------------------------------------------
 //
 // Every tool in the family (tempofair-sim, tempofair_bench, perf_gate,
-// tempofaird, tempofair_client) registers its flags from these helpers, so
+// lp_fuzz) registers its flags from these helpers, so
 // a flag spelled the same always means the same thing, with the same
 // default and the same strict parsing, everywhere.  Tools opt into the
 // groups they support.

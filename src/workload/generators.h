@@ -51,58 +51,31 @@ using SizeDist =
 
 // --- Streams ----------------------------------------------------------------
 //
-// The materializing generator functions below are DEPRECATED one-release
-// shims: describe the workload with a WorkloadSpec and build it through
+// Describe workloads with a WorkloadSpec and build them through
 // workload::make_source() / make_instance() (workload/spec.h,
-// workload/source.h) instead, which names the same workloads with one
-// portable spec string.  The detail:: implementations remain the single
-// source of truth -- the spec layer calls them, so a spec-built workload is
-// bitwise-identical to the legacy call with the same Rng.
+// workload/source.h), which names them with one portable spec string.  The
+// detail:: generators below are the single source of truth the spec layer
+// calls, so a spec-built workload is bitwise-identical to a direct detail::
+// call with the same Rng.
 
 namespace detail {
+/// n jobs, Poisson arrivals with rate `lambda`, iid sizes from `dist`.
 [[nodiscard]] Instance poisson_stream(std::size_t n, double lambda,
                                       const SizeDist& dist, Rng& rng);
+/// Poisson stream calibrated so that utilization lambda*E[size]/machines
+/// equals `utilization` (must be in (0, 1.5]; > 1 deliberately overloads).
 [[nodiscard]] Instance poisson_load(std::size_t n, int machines,
                                     double utilization, const SizeDist& dist,
                                     Rng& rng);
+/// `bursts` bursts of `per_burst` jobs each, bursts spaced `gap` apart,
+/// iid sizes from `dist`.
 [[nodiscard]] Instance bursty_stream(std::size_t bursts, std::size_t per_burst,
                                      double gap, const SizeDist& dist,
                                      Rng& rng);
+/// Deterministic stream: n jobs of size `size`, released every `gap`.
 [[nodiscard]] Instance uniform_stream(std::size_t n, double gap, double size,
                                       Time start = 0.0);
 }  // namespace detail
-
-/// n jobs, Poisson arrivals with rate `lambda`, iid sizes from `dist`.
-[[deprecated("build via WorkloadSpec + workload::make_instance() (workload/spec.h)")]]
-[[nodiscard]] inline Instance poisson_stream(std::size_t n, double lambda,
-                                             const SizeDist& dist, Rng& rng) {
-  return detail::poisson_stream(n, lambda, dist, rng);
-}
-
-/// Poisson stream calibrated so that utilization lambda*E[size]/machines
-/// equals `utilization` (must be in (0, 1.5]; > 1 deliberately overloads).
-[[deprecated("build via WorkloadSpec::poisson() + workload::make_instance()")]]
-[[nodiscard]] inline Instance poisson_load(std::size_t n, int machines,
-                                           double utilization,
-                                           const SizeDist& dist, Rng& rng) {
-  return detail::poisson_load(n, machines, utilization, dist, rng);
-}
-
-/// `bursts` bursts of `per_burst` jobs each, bursts spaced `gap` apart,
-/// iid sizes from `dist`.
-[[deprecated("build via WorkloadSpec::bursty() + workload::make_instance()")]]
-[[nodiscard]] inline Instance bursty_stream(std::size_t bursts,
-                                            std::size_t per_burst, double gap,
-                                            const SizeDist& dist, Rng& rng) {
-  return detail::bursty_stream(bursts, per_burst, gap, dist, rng);
-}
-
-/// Deterministic stream: n jobs of size `size`, released every `gap`.
-[[deprecated("build via WorkloadSpec::uniform() + workload::make_instance()")]]
-[[nodiscard]] inline Instance uniform_stream(std::size_t n, double gap,
-                                             double size, Time start = 0.0) {
-  return detail::uniform_stream(n, gap, size, start);
-}
 
 // --- Weight assignment (for weighted-flow experiments) ----------------------
 

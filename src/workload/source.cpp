@@ -303,7 +303,7 @@ class TraceSource final : public WorkloadSource {
       streamable_ = info.streamable;
     } catch (const std::runtime_error& e) {
       // Missing file, bad header, truncation: surface as a spec error so
-      // CLI/wire layers report it uniformly.
+      // every caller reports it uniformly.
       throw SpecError(e.what());
     }
   }
@@ -443,8 +443,8 @@ RunResult run_spec(const RunRequest& request) {
     throw SpecError("run_spec: request.workload is empty");
   }
   const std::unique_ptr<WorkloadSource> source = make_source(request.workload);
-  // Mirror the daemon's streaming decision: the fast path admits arrivals
-  // lazily only for FastForward-capable policies with visible sizes.
+  // The fast path admits arrivals lazily only for FastForward-capable
+  // policies with visible sizes.
   const bool fast_capable = make_policy(request.policy)->fast_forward().enabled();
   if (source->streamable() && request.use_fast_path && fast_capable &&
       !request.hide_sizes) {

@@ -9,10 +9,9 @@
 //                    admits arrivals without ever holding the full instance.
 //
 // Sources are reusable: every stream()/instance() call re-derives the same
-// jobs from the spec's seed, so two calls -- or a call here and one in a
-// tempofaird replica -- agree bitwise.  This is what lets a spec string ride
-// RunRequest.workload through bench experiments, the CLI tools, and SUBMIT
-// frames and mean the same workload everywhere.
+// jobs from the spec's seed, so two calls agree bitwise.  This is what lets
+// a spec string ride RunRequest.workload through bench experiments and the
+// CLI tools and mean the same workload everywhere.
 //
 // Supported kinds (see builtin_workload_kinds() for the live list):
 //
@@ -88,10 +87,9 @@ class WorkloadSource {
 
 /// Runs `request` on the workload named by request.workload: streams into
 /// the fast path when the source and the request's policy both support it,
-/// otherwise materializes and runs the generic loop.  This is exactly the
-/// path a tempofaird spec submission takes, so a local run_spec() and a
-/// daemon round trip produce identical schedules.  Throws SpecError when
-/// request.workload is empty or invalid.
+/// otherwise materializes and runs the generic loop; both paths produce
+/// identical schedules.  Throws SpecError when request.workload is empty or
+/// invalid.
 [[nodiscard]] RunResult run_spec(const RunRequest& request);
 
 }  // namespace tempofair::workload

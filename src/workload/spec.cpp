@@ -263,7 +263,12 @@ std::string size_dist_spec(const SizeDist& dist) {
     }
     std::string operator()(const ParetoSize& d) const {
       std::string out = "pareto(" + num_text(d.alpha) + "," + num_text(d.xmin);
-      if (d.cap != 0.0) out += "," + num_text(d.cap);
+      if (d.cap != 0.0) {
+        // Two appends, not "," + temporary: g++ 12 at -O3 reports a false
+        // -Wrestrict on the latter.
+        out += ',';
+        out += num_text(d.cap);
+      }
       return out + ")";
     }
     std::string operator()(const BimodalSize& d) const {

@@ -21,8 +21,8 @@
 // Distribution values use the parenthesized form (`dist=pareto(1.8,0.5)`) so
 // the top-level comma stays unambiguous.  parse() and to_string() round-trip;
 // semantic validation (unknown kinds/params, bad ranges) happens in
-// make_source() (workload/source.h), so one error path covers flags, wire
-// frames and programmatic construction alike.
+// make_source() (workload/source.h), so one error path covers flags and
+// programmatic construction alike.
 #pragma once
 
 #include <cstdint>

@@ -9,11 +9,9 @@
 // another identically for detail::PoissonStream yields bitwise-equal jobs,
 // which is what the equivalence tests rely on.
 //
-// Callers should not name these concrete classes directly any more: describe
-// the workload with a WorkloadSpec and obtain the stream from
-// workload::make_source() (workload/source.h).  The old public spellings
-// (PoissonJobStream, InstanceJobStream, poisson_load_stream) remain as
-// [[deprecated]] one-release aliases/shims below.
+// Callers should not name these concrete classes directly: describe the
+// workload with a WorkloadSpec and obtain the stream from
+// workload::make_source() (workload/source.h).
 #pragma once
 
 #include <cstddef>
@@ -71,24 +69,6 @@ class InstanceRefStream final : public JobStream {
 };
 
 }  // namespace detail
-
-/// Deprecated spelling of detail::PoissonStream; build streams through
-/// workload::make_source() instead.
-using PoissonJobStream
-    [[deprecated("build via WorkloadSpec + workload::make_source()")]] =
-        detail::PoissonStream;
-
-/// Deprecated spelling of detail::InstanceRefStream.
-using InstanceJobStream
-    [[deprecated("build via WorkloadSpec + workload::make_source()")]] =
-        detail::InstanceRefStream;
-
-[[deprecated("build via WorkloadSpec::poisson() + workload::make_source()")]]
-[[nodiscard]] inline detail::PoissonStream poisson_load_stream(
-    std::size_t n, int machines, double utilization, const SizeDist& dist,
-    Rng& rng) {
-  return detail::poisson_load_stream(n, machines, utilization, dist, rng);
-}
 
 /// Drains `stream` into a materialized Instance (for running the same
 /// workload through the generic engine loop or a non-streaming analysis).

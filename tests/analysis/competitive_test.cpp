@@ -11,8 +11,8 @@ namespace {
 
 TEST(MeasureRatio, BracketIsOrdered) {
   workload::Rng rng(3);
-  const Instance inst =
-      workload::poisson_load(30, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      30, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 2.0;
@@ -28,8 +28,8 @@ TEST(MeasureRatio, SrptAtSpeedOneHasProxyRatioAtMostOne) {
   // proxy is the min, so SRPT's cost / proxy >= 1, with equality when SRPT
   // is the better of the two.
   workload::Rng rng(5);
-  const Instance inst =
-      workload::poisson_load(30, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      30, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   Srpt srpt;
   RatioOptions opt;
   opt.k = 2.0;
@@ -40,8 +40,8 @@ TEST(MeasureRatio, SrptAtSpeedOneHasProxyRatioAtMostOne) {
 
 TEST(MeasureRatio, SpeedReducesRatio) {
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.95, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.95, workload::ExponentialSize{1.0}, rng);
   lpsolve::OptBoundsOptions bo;
   bo.k = 2.0;
   bo.with_lp = false;
@@ -60,8 +60,8 @@ TEST(MeasureRatio, SpeedReducesRatio) {
 
 TEST(MeasureRatio, ReusedBoundsMatchFreshOnes) {
   workload::Rng rng(11);
-  const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      25, 1, 0.85, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr1, rr2;
   RatioOptions opt;
   opt.k = 2.0;
@@ -74,8 +74,8 @@ TEST(MeasureRatio, ReusedBoundsMatchFreshOnes) {
 
 TEST(MeasureRatio, LbCertifiedPropagatesFromBounds) {
   workload::Rng rng(17);
-  const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      25, 1, 0.85, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 2.0;
@@ -104,8 +104,8 @@ TEST(MeasureRatio, DenormalLowerBoundFlagsDegenerate) {
 
 TEST(MeasureRatio, HealthyLowerBoundIsNotFlagged) {
   workload::Rng rng(19);
-  const Instance inst =
-      workload::poisson_load(20, 1, 0.8, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      20, 1, 0.8, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 2.0;
@@ -117,8 +117,8 @@ TEST(MeasureRatio, HealthyLowerBoundIsNotFlagged) {
 
 TEST(MeasureRatio, RecordsConfiguration) {
   workload::Rng rng(13);
-  const Instance inst =
-      workload::poisson_load(20, 2, 0.8, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      20, 2, 0.8, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 3.0;

@@ -87,8 +87,8 @@ TEST(DualFit, SingleJobAlphaByHand) {
 TEST(DualFit, Lemma2IsExactIdentity) {
   // Lemma 2's proof is an identity: beta_term == (1+delta)(1/2-3eps) RR^k.
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   const double k = 2.0, eps = 0.05;
   const Schedule s = run_rr(inst, theorem1_speed(k, eps));
   DualFitOptions opt;
@@ -111,7 +111,7 @@ TEST_P(DualFitTheoremSweep, CertificateValidAtTheoremSpeed) {
   const auto [k, machines, seed] = GetParam();
   const double eps = 0.05;  // <= 1/15, see header note on Lemma 4
   workload::Rng rng(seed);
-  const Instance inst = workload::poisson_load(
+  const Instance inst = workload::detail::poisson_load(
       60, machines, 0.95, workload::ExponentialSize{1.5}, rng);
   const Schedule s = run_rr(inst, theorem1_speed(k, eps), machines);
   DualFitOptions opt;
@@ -190,7 +190,7 @@ TEST(DualFit, DualObjectiveAtMostGammaLpValue) {
   // Weak duality: a feasible dual's objective is at most the gamma-scaled
   // LP optimum (checked against the MCMF solve of the same LP).
   workload::Rng rng(23);
-  const Instance inst = workload::poisson_load(
+  const Instance inst = workload::detail::poisson_load(
       20, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   const double k = 2.0, eps = 0.05;
   const Schedule s = run_rr(inst, theorem1_speed(k, eps));
@@ -214,8 +214,8 @@ TEST(DualFit, ImpliedRatioBoundsMeasuredRatio) {
   // The certificate's implied l_k ratio must upper-bound the actually
   // measured RR-vs-proxy ratio (since proxy >= OPT).
   workload::Rng rng(29);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   const double k = 2.0, eps = 0.05;
   const Schedule s = run_rr(inst, theorem1_speed(k, eps));
   DualFitOptions opt;

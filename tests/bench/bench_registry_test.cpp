@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/cli.h"
 #include "harness/thread_pool.h"
 
 namespace tempofair::bench {
@@ -56,23 +55,21 @@ TEST(ExperimentRegistry, FindById) {
 }
 
 TEST(RunContext, SmokeScalesSizeParamsDown) {
-  const char* argv[] = {"prog"};
-  const harness::Cli cli(1, argv);
+  const ParamOverrides none;
   harness::ThreadPool pool(1);
   std::ostringstream out;
-  RunContext smoke_ctx(cli, pool, out, /*smoke=*/true, /*csv=*/false);
+  RunContext smoke_ctx(none, pool, out, /*smoke=*/true, /*csv=*/false);
   EXPECT_EQ(smoke_ctx.size_param("n", 800), 100u);  // fallback / 8
   EXPECT_EQ(smoke_ctx.size_param("trials", 8, 2), 2u);  // floored
-  RunContext full_ctx(cli, pool, out, /*smoke=*/false, /*csv=*/false);
+  RunContext full_ctx(none, pool, out, /*smoke=*/false, /*csv=*/false);
   EXPECT_EQ(full_ctx.size_param("n", 800), 800u);
 }
 
 TEST(RunContext, ExplicitFlagBeatsSmokeScaling) {
-  const char* argv[] = {"prog", "--n", "640"};
-  const harness::Cli cli(3, argv);
+  const ParamOverrides overrides{{"n", "640"}};
   harness::ThreadPool pool(1);
   std::ostringstream out;
-  RunContext ctx(cli, pool, out, /*smoke=*/true, /*csv=*/false);
+  RunContext ctx(overrides, pool, out, /*smoke=*/true, /*csv=*/false);
   EXPECT_EQ(ctx.size_param("n", 800), 640u);
 }
 
@@ -82,11 +79,10 @@ TEST(RunExperiment, ProducesOutputAndArtifactFields) {
   const auto& registry = ExperimentRegistry::instance();
   const ExperimentSpec* spec = registry.find("f1");
   ASSERT_NE(spec, nullptr);
-  const char* argv[] = {"prog"};
-  const harness::Cli cli(1, argv);
+  const ParamOverrides none;
   harness::ThreadPool pool(2);
   const RunOutcome outcome =
-      run_experiment(*spec, cli, pool, /*smoke=*/true, /*csv=*/false);
+      run_experiment(*spec, none, pool, /*smoke=*/true, /*csv=*/false);
   EXPECT_EQ(outcome.id, "f1");
   EXPECT_EQ(outcome.status, "ok");
   EXPECT_EQ(outcome.exit_code, 0);
@@ -107,11 +103,10 @@ TEST(RunExperiment, CapturesCountersPerRun) {
   const auto& registry = ExperimentRegistry::instance();
   const ExperimentSpec* spec = registry.find("f1");
   ASSERT_NE(spec, nullptr);
-  const char* argv[] = {"prog"};
-  const harness::Cli cli(1, argv);
+  const ParamOverrides none;
   harness::ThreadPool pool(2);
   const RunOutcome outcome =
-      run_experiment(*spec, cli, pool, /*smoke=*/true, /*csv=*/false);
+      run_experiment(*spec, none, pool, /*smoke=*/true, /*csv=*/false);
   // Per-run CPU accounting must have been attributed to this run's sink
   // (not the global one) despite the shared pool.
   EXPECT_TRUE(outcome.counters.count("cpu_ns"));
@@ -126,11 +121,10 @@ TEST(RunExperiment, ErrorsAreCapturedNotThrown) {
   spec.run = [](RunContext&) -> int {
     throw std::runtime_error("experiment exploded");
   };
-  const char* argv[] = {"prog"};
-  const harness::Cli cli(1, argv);
+  const ParamOverrides none;
   harness::ThreadPool pool(1);
   const RunOutcome outcome =
-      run_experiment(spec, cli, pool, /*smoke=*/false, /*csv=*/false);
+      run_experiment(spec, none, pool, /*smoke=*/false, /*csv=*/false);
   EXPECT_EQ(outcome.status, "error");
   EXPECT_EQ(outcome.error, "experiment exploded");
   EXPECT_FALSE(outcome.ok());
@@ -139,16 +133,17 @@ TEST(RunExperiment, ErrorsAreCapturedNotThrown) {
 }
 
 TEST(RunContext, ParamsAreRecordedForArtifacts) {
-  const char* argv[] = {"prog", "--seed", "99"};
-  const harness::Cli cli(3, argv);
+  // An empty override (tempofair_bench --trace "") takes the fallback.
+  const ParamOverrides overrides{{"seed", "99"}, {"trace", ""}};
   harness::ThreadPool pool(1);
   std::ostringstream out;
-  RunContext ctx(cli, pool, out, /*smoke=*/false, /*csv=*/false);
+  RunContext ctx(overrides, pool, out, /*smoke=*/false, /*csv=*/false);
   (void)ctx.size_param("n", 100);
   (void)ctx.seed_param(5);
+  EXPECT_EQ(ctx.string_param("trace", "default.csv"), "default.csv");
   const auto params = ctx.params();
   EXPECT_EQ(params.at("n"), "100");
-  EXPECT_EQ(params.at("seed"), "99");  // CLI override recorded
+  EXPECT_EQ(params.at("seed"), "99");  // command-line override recorded
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // CLI regression tests against the real binaries (paths injected by CMake
-// through TEMPOFAIR_BENCH_BIN / PERF_GATE_BIN / TEMPOFAIR_SIM_BIN):
+// through TEMPOFAIR_BENCH_BIN / PERF_GATE_BIN / TEMPOFAIR_SIM_BIN /
+// LP_FUZZ_BIN):
 //
 //  * tempofair_bench --filter with an unknown id must hard-error (exit 2)
 //    and list every valid id, instead of silently running nothing.
@@ -10,6 +11,8 @@
 //    with a nonzero exit and a message that names the bad input, and run
 //    end-to-end from a valid spec -- the shared-flag contract every tool
 //    using harness::add_run_flags() inherits.
+//  * lp_fuzz must reject a malformed or non-positive --count with exit 2
+//    instead of running a truncated, aborting or endless fuzz.
 #include <sys/wait.h>
 
 #include <array>
@@ -225,6 +228,24 @@ TEST(TempofairSimCli, GenerateRoundTripsThroughRun) {
                   trace + "' --policy srpt");
   EXPECT_EQ(replay.exit_code, 0) << replay.output;
   std::remove(trace.c_str());
+}
+
+TEST(LpFuzzCli, MalformedOrNonPositiveCountIsUsageError) {
+  for (const char* count : {"12abc", "abc", "0", "-1"}) {
+    const CommandResult result =
+        run_command(std::string(LP_FUZZ_BIN) + " --count " + count);
+    EXPECT_EQ(result.exit_code, 2) << count << ": " << result.output;
+    EXPECT_NE(result.output.find("--count"), std::string::npos)
+        << result.output;
+  }
+}
+
+TEST(LpFuzzCli, CountAndSeedParse) {
+  const CommandResult result =
+      run_command(std::string(LP_FUZZ_BIN) + " --count 3 --seed 20260806");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("seed=20260806 cases=3"), std::string::npos)
+      << result.output;
 }
 
 }  // namespace

@@ -43,8 +43,8 @@ TEST(FairnessReport, RequiresTrace) {
 
 TEST(FairnessReport, RoundRobinIsPerfectlyFair) {
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 1, 0.9, workload::ExponentialSize{2.0}, rng);
   RoundRobin rr;
   const Schedule s = EngineCore().run(inst, rr);
   const FairnessReport rep = fairness_report(s);
@@ -57,8 +57,8 @@ TEST(FairnessReport, RoundRobinIsPerfectlyFair) {
 
 TEST(FairnessReport, SrptStarvesUnderContention) {
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(50, 1, 0.95, workload::ExponentialSize{2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 1, 0.95, workload::ExponentialSize{2.0}, rng);
   Srpt srpt;
   const Schedule s = EngineCore().run(inst, srpt);
   const FairnessReport rep = fairness_report(s);

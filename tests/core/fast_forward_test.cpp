@@ -161,7 +161,7 @@ const std::vector<std::string> kFastPolicies = {
 TEST(FastForwardEquivalence, PoissonInstances) {
   for (const int machines : {1, 4}) {
     workload::Rng rng(kSeed + static_cast<std::uint64_t>(machines));
-    const Instance instance = workload::poisson_load(
+    const Instance instance = workload::detail::poisson_load(
         500, machines, 0.9, workload::ExponentialSize{1.5}, rng);
     for (const std::string& policy : kFastPolicies) {
       run_both_and_compare(instance, policy, machines, /*record_trace=*/true);
@@ -174,7 +174,7 @@ TEST(FastForwardEquivalence, PoissonTraceOff) {
   // alive list is not maintained at all), so it gets its own sweep.
   for (const int machines : {1, 4}) {
     workload::Rng rng(kSeed + 17 + static_cast<std::uint64_t>(machines));
-    const Instance instance = workload::poisson_load(
+    const Instance instance = workload::detail::poisson_load(
         500, machines, 0.95, workload::ExponentialSize{2.0}, rng);
     for (const std::string& policy : kFastPolicies) {
       run_both_and_compare(instance, policy, machines, /*record_trace=*/false);
@@ -203,7 +203,7 @@ TEST(FastForwardEquivalence, AdversarialInstances) {
 TEST(FastForwardEquivalence, RandomWeightsExerciseWeightedShare) {
   workload::Rng rng(kSeed + 99);
   workload::Rng wrng(kSeed + 100);
-  const Instance base = workload::poisson_load(
+  const Instance base = workload::detail::poisson_load(
       300, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   const Instance weighted =
       workload::with_weights(base, workload::WeightScheme::kRandom, wrng);
@@ -213,7 +213,7 @@ TEST(FastForwardEquivalence, RandomWeightsExerciseWeightedShare) {
 
 TEST(FastForwardEquivalence, SpeedAugmentationAndBursts) {
   workload::Rng rng(kSeed + 7);
-  const Instance instance = workload::bursty_stream(
+  const Instance instance = workload::detail::bursty_stream(
       8, 25, 15.0, workload::ExponentialSize{1.2}, rng);
   for (const double speed : {1.0, 2.5}) {
     for (const std::string& policy : kFastPolicies) {
@@ -232,11 +232,12 @@ TEST(FastForwardEquivalence, StreamingMatchesMaterialized) {
     const workload::SizeDist dist{workload::ExponentialSize{1.5}};
     workload::Rng inst_rng(kSeed + 31);
     const Instance instance =
-        workload::poisson_load(2000, machines, 0.9, dist, inst_rng);
+        workload::detail::poisson_load(2000, machines, 0.9, dist, inst_rng);
 
     workload::Rng stream_rng(kSeed + 31);
-    workload::PoissonJobStream stream =
-        workload::poisson_load_stream(2000, machines, 0.9, dist, stream_rng);
+    workload::detail::PoissonStream stream =
+        workload::detail::poisson_load_stream(
+            2000, machines, 0.9, dist, stream_rng);
 
     RunRequest request;
     request.policy = "rr";
@@ -260,11 +261,12 @@ TEST(FastForwardEquivalence, MillionJobStreamMatchesEventLoop) {
   const std::size_t n = 1'000'000;
   const workload::SizeDist dist{workload::ExponentialSize{1.5}};
   workload::Rng inst_rng(kSeed + 63);
-  const Instance instance = workload::poisson_load(n, 1, 0.9, dist, inst_rng);
+  const Instance instance = workload::detail::poisson_load(
+      n, 1, 0.9, dist, inst_rng);
 
   workload::Rng stream_rng(kSeed + 63);
-  workload::PoissonJobStream stream =
-      workload::poisson_load_stream(n, 1, 0.9, dist, stream_rng);
+  workload::detail::PoissonStream stream =
+      workload::detail::poisson_load_stream(n, 1, 0.9, dist, stream_rng);
 
   RunRequest fast_req;
   fast_req.policy = "rr";
@@ -301,7 +303,7 @@ TEST(FastForwardEquivalence, DegenerateSizesStillMatch) {
 TEST(FastForwardEquivalence, AttainedKernelsNonDefaultParameters) {
   for (const int machines : {1, 4}) {
     workload::Rng rng(kSeed + 41 + static_cast<std::uint64_t>(machines));
-    const Instance instance = workload::poisson_load(
+    const Instance instance = workload::detail::poisson_load(
         400, machines, 0.9, workload::ExponentialSize{1.5}, rng);
     for (const auto& policy : attained_policies()) {
       for (const bool trace : {true, false}) {
@@ -344,7 +346,7 @@ TEST(FastForwardEquivalence, DeepAliveSetsTraceOff) {
   // running groups past many waiters, MLFQ demotes past deep levels.
   for (const int machines : {1, 4}) {
     workload::Rng rng(kSeed + 71 + static_cast<std::uint64_t>(machines));
-    const Instance instance = workload::poisson_load(
+    const Instance instance = workload::detail::poisson_load(
         20000, machines, 0.95, workload::ExponentialSize{1.0}, rng);
     Setf setf;
     Mlfq mlfq;

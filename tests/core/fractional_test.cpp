@@ -44,8 +44,8 @@ TEST(FractionalFlow, SingleJobQuadraticCase) {
 
 TEST(FractionalFlow, AtMostIntegralFlowPower) {
   workload::Rng rng(3);
-  const Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 1, 0.9, workload::ExponentialSize{1.5}, rng);
   RoundRobin rr;
   Srpt srpt;
   for (double k : {1.0, 2.0, 3.0}) {
@@ -61,8 +61,8 @@ TEST(FractionalFlow, AtMostIntegralFlowPower) {
 
 TEST(FractionalFlow, SpeedReducesFractionalCost) {
   workload::Rng rng(5);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   double prev = std::numeric_limits<double>::infinity();
   for (double speed : {1.0, 2.0, 4.0}) {
     RoundRobin rr;
@@ -80,8 +80,8 @@ TEST(FractionalFlow, LpLowerBoundsFractionalCostDirectly) {
   // work its processing age plus p^k normalization.  Concretely:
   //   LP* <= fractional_cost + sum_j p_j^k  (the LP's +p_j^k term).
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
   lpsolve::FlowtimeLpOptions opt;
   opt.k = 2.0;
   opt.slot = 0.25;

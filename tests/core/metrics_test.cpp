@@ -130,41 +130,6 @@ TEST(WeightedLkPower, MillionScaleMatchesUnweighted) {
               lk_power_sum(v, 8.0) * 1e-12);
 }
 
-TEST(LiveMetricsPercentile, EmptyIsZero) {
-  const LiveMetrics live;
-  EXPECT_DOUBLE_EQ(live.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(live.percentile(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(live.percentile(100.0), 0.0);
-}
-
-TEST(LiveMetricsPercentile, EndpointsMatchFreeFunction) {
-  LiveMetrics live;
-  for (double f : {5.0, 1.0, 3.0}) live.record(f);
-  EXPECT_DOUBLE_EQ(live.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(live.percentile(50.0), 3.0);
-  EXPECT_DOUBLE_EQ(live.percentile(100.0), 5.0);
-}
-
-TEST(LiveMetricsPercentile, CacheInvalidatedByRecordAndReset) {
-  LiveMetrics live;
-  live.record(2.0);
-  // Prime the sorted cache, then complete another job: the next query must
-  // see the new value, not the stale cache.
-  EXPECT_DOUBLE_EQ(live.percentile(100.0), 2.0);
-  live.record(9.0);
-  EXPECT_DOUBLE_EQ(live.percentile(100.0), 9.0);
-  EXPECT_DOUBLE_EQ(live.percentile(0.0), 2.0);
-  live.reset();
-  EXPECT_DOUBLE_EQ(live.percentile(100.0), 0.0);
-}
-
-TEST(LiveMetricsPercentile, RejectsOutOfRange) {
-  LiveMetrics live;
-  live.record(1.0);
-  EXPECT_THROW((void)live.percentile(-0.5), std::invalid_argument);
-  EXPECT_THROW((void)live.percentile(100.5), std::invalid_argument);
-}
-
 TEST(Percentile, Endpoints) {
   const std::vector<double> v{5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);

@@ -1,10 +1,8 @@
 // The RunRequest/RunResult facade: equivalence with the deprecated
-// EngineCore().run() shims, JobStream edge cases driven through run() (empty
-// stream, simultaneous arrivals, out-of-order rejection, cancellation
-// mid-stream), and the live-metrics hooks the daemon relies on.
+// EngineCore().run() shims and JobStream edge cases driven through run()
+// (empty stream, simultaneous arrivals, out-of-order rejection).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -20,7 +18,8 @@ namespace {
 
 Instance small_instance() {
   workload::Rng rng(99);
-  return workload::poisson_load(30, 1, 0.9, workload::ExponentialSize{1.2},
+  return workload::detail::poisson_load(
+      30, 1, 0.9, workload::ExponentialSize{1.2},
                                 rng);
 }
 
@@ -59,24 +58,37 @@ TEST(RunFacade, RejectsUnknownPolicySpec) {
   EXPECT_THROW((void)run(small_instance(), req), std::invalid_argument);
 }
 
-TEST(RunFacade, EngineOptionsCarryLiveHooks) {
-  LiveMetrics live;
-  std::atomic<bool> cancel{false};
+TEST(RunFacade, EngineOptionsMirrorRequest) {
   RunRequest req;
-  req.live = &live;
-  req.cancel = &cancel;
+  req.machines = 3;
+  req.speed = 1.5;
+  req.record_trace = false;
+  req.hide_sizes = true;
+  req.max_time = 40.0;
+  req.max_steps = 123;
+  req.max_zero_progress_steps = 7;
+  req.use_fast_path = false;
+  req.invariants = InvariantMode::kExhaustive;
+  req.invariant_sample_period = 5;
   const EngineOptions eo = req.engine_options();
-  EXPECT_EQ(eo.live_metrics, &live);
-  EXPECT_EQ(eo.cancel, &cancel);
   EXPECT_EQ(eo.machines, req.machines);
+  EXPECT_EQ(eo.speed, req.speed);
+  EXPECT_EQ(eo.record_trace, req.record_trace);
+  EXPECT_EQ(eo.hide_sizes, req.hide_sizes);
+  EXPECT_EQ(eo.max_time, req.max_time);
+  EXPECT_EQ(eo.max_steps, req.max_steps);
+  EXPECT_EQ(eo.max_zero_progress_steps, req.max_zero_progress_steps);
   EXPECT_EQ(eo.use_fast_path, req.use_fast_path);
+  EXPECT_EQ(eo.invariants, req.invariants);
+  EXPECT_EQ(eo.invariant_sample_period, req.invariant_sample_period);
+  EXPECT_EQ(eo.invariant_stats, nullptr);
 }
 
 // --- JobStream edge cases through the facade --------------------------------
 
 TEST(RunFacade, EmptyStreamProducesEmptySchedule) {
   const Instance empty;
-  workload::InstanceJobStream stream(empty);
+  workload::detail::InstanceRefStream stream(empty);
   RunRequest req;
   req.policy = "rr";
   const RunResult result = run(stream, req);
@@ -97,7 +109,7 @@ TEST(RunFacade, SimultaneousArrivalsMatchInstanceRun) {
   req.policy = "rr";
   const RunResult offline = run(inst, req);
 
-  workload::InstanceJobStream stream(inst);
+  workload::detail::InstanceRefStream stream(inst);
   const RunResult streamed = run(stream, req);
   ASSERT_EQ(streamed.schedule.n(), offline.schedule.n());
   for (JobId j = 0; j < inst.n(); ++j) {
@@ -134,95 +146,12 @@ TEST(RunFacade, RejectsNonSequentialIds) {
 
 TEST(RunFacade, StreamingRequiresFastPathCapablePolicy) {
   const Instance inst = small_instance();
-  workload::InstanceJobStream stream(inst);
+  workload::detail::InstanceRefStream stream(inst);
   RunRequest req;
   // hdf's age-dependent weights keep it off the fast path (kNone); mlfq
   // and friends grew descriptors, so they stream fine now.
   req.policy = "hdf";
   EXPECT_THROW((void)run(stream, req), std::invalid_argument);
-}
-
-/// Flips the shared cancel flag after yielding `trip_after` jobs, as if the
-/// tenant disconnected mid-stream.
-class CancellingStream final : public JobStream {
- public:
-  CancellingStream(const Instance& instance, std::size_t trip_after,
-                   std::atomic<bool>* cancel)
-      : inner_(instance), trip_after_(trip_after), cancel_(cancel) {}
-  [[nodiscard]] std::size_t n() const noexcept override { return inner_.n(); }
-  [[nodiscard]] Job next() override {
-    if (++yielded_ > trip_after_) cancel_->store(true);
-    return inner_.next();
-  }
-
- private:
-  workload::InstanceJobStream inner_;
-  std::size_t trip_after_;
-  std::atomic<bool>* cancel_;
-  std::size_t yielded_ = 0;
-};
-
-TEST(RunFacade, CancellationMidStream) {
-  const Instance inst = small_instance();
-  std::atomic<bool> cancel{false};
-  LiveMetrics live;
-  CancellingStream stream(inst, 5, &cancel);
-  RunRequest req;
-  req.policy = "rr";
-  req.live = &live;
-  req.cancel = &cancel;
-  EXPECT_THROW((void)run(stream, req), RunCancelled);
-  // The run died mid-flight: some (possibly zero) completions were recorded,
-  // but never the full instance.
-  EXPECT_LT(live.completed(), inst.n());
-  EXPECT_EQ(live.expected(), inst.n());
-}
-
-TEST(RunFacade, CancellationBeforeFirstEvent) {
-  std::atomic<bool> cancel{true};
-  RunRequest req;
-  req.policy = "rr";
-  req.cancel = &cancel;
-  req.use_fast_path = false;  // the generic loop polls the flag too
-  EXPECT_THROW((void)run(small_instance(), req), RunCancelled);
-}
-
-// --- live metrics -----------------------------------------------------------
-
-TEST(RunFacade, LiveMetricsMatchFinalStats) {
-  const Instance inst = small_instance();
-  LiveMetrics live;
-  RunRequest req;
-  req.policy = "rr";
-  req.live = &live;
-  const RunResult result = run(inst, req);
-
-  EXPECT_EQ(live.completed(), inst.n());
-  EXPECT_EQ(live.expected(), inst.n());
-  // Live flows accumulate in completion order, the schedule's in job-id
-  // order, so sums agree only up to floating-point reassociation.
-  const FlowStats snap = live.snapshot();
-  EXPECT_EQ(snap.n, result.stats.n);
-  EXPECT_DOUBLE_EQ(snap.l1, result.stats.l1);
-  EXPECT_EQ(snap.linf, result.stats.linf);
-  EXPECT_DOUBLE_EQ(live.lk(2.0), result.stats.l2);
-  EXPECT_EQ(live.percentile(100.0), result.stats.linf);
-}
-
-TEST(LiveMetrics, IncrementalSnapshots) {
-  LiveMetrics live;
-  live.set_expected(3);
-  EXPECT_EQ(live.completed(), 0u);
-  EXPECT_EQ(live.lk(2.0), 0.0);
-  live.record(3.0);
-  live.record(4.0);
-  EXPECT_EQ(live.completed(), 2u);
-  EXPECT_EQ(live.lk(2.0), 5.0);
-  EXPECT_EQ(live.percentile(0.0), 3.0);
-  EXPECT_EQ(live.snapshot().linf, 4.0);
-  live.reset();
-  EXPECT_EQ(live.completed(), 0u);
-  EXPECT_EQ(live.expected(), 0u);
 }
 
 }  // namespace

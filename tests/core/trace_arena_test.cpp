@@ -135,8 +135,8 @@ TEST(TraceArena, UniformAndPerJobRateStorage) {
 
 TEST(TraceArena, EveryRrIntervalIsUniformCompressed) {
   workload::Rng rng(23);
-  const Instance inst =
-      workload::poisson_load(80, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      80, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   const Schedule s = EngineCore().run(inst, rr);
   for (const TraceIntervalView iv : s.trace()) {
@@ -323,8 +323,8 @@ TEST(TraceArena, ShrinkToFitOnEmptyArena) {
 
 TEST(TraceArena, CopyMoveAndSelfAssignmentOfTracedSchedule) {
   workload::Rng rng(5);
-  const Instance inst =
-      workload::poisson_load(400, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      400, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   EngineOptions eo;
   eo.machines = 2;
@@ -370,7 +370,7 @@ class ArenaEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
     workload::Rng rng(42);
-    inst_ = workload::poisson_load(300, 1, 0.9,
+    inst_ = workload::detail::poisson_load(300, 1, 0.9,
                                    workload::ExponentialSize{1.5}, rng);
     RoundRobin rr;
     EngineOptions eo;
@@ -610,8 +610,8 @@ TEST_F(ArenaEquivalence, DualFitCertificateMatchesFullScanReference) {
 // underloaded alpha branch and per-machine fair shares.
 TEST(ArenaEquivalenceMultiMachine, DualFitAndWorkMatchReference) {
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(200, 3, 1.1, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      200, 3, 1.1, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin rr;
   EngineOptions eo;
   eo.machines = 3;

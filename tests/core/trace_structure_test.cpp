@@ -42,8 +42,8 @@ TEST(TraceStructure, RrStaircaseHandComputed) {
 
 TEST(TraceStructure, IntervalsTileWithoutOverlap) {
   workload::Rng rng(13);
-  const Instance inst =
-      workload::poisson_load(60, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      60, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   EngineOptions eo;
   eo.machines = 2;
@@ -59,8 +59,8 @@ TEST(TraceStructure, IntervalsTileWithoutOverlap) {
 
 TEST(TraceStructure, AliveSetMatchesLifespans) {
   workload::Rng rng(17);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin rr;
   const Schedule s = EngineCore().run(inst, rr);
   for (const TraceIntervalView iv : s.trace()) {
@@ -85,8 +85,8 @@ TEST(TraceStructure, AttainedServiceReconstructsFlows) {
   // Integrating each job's rate over the trace up to any prefix never
   // exceeds its size, and the final integral equals the size exactly.
   workload::Rng rng(19);
-  const Instance inst =
-      workload::poisson_load(30, 1, 0.85, workload::ExponentialSize{2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      30, 1, 0.85, workload::ExponentialSize{2.0}, rng);
   RoundRobin rr;
   const Schedule s = EngineCore().run(inst, rr);
   std::vector<double> attained(inst.n(), 0.0);

@@ -7,85 +7,6 @@
 namespace tempofair::harness {
 namespace {
 
-Cli make(std::initializer_list<const char*> args) {
-  std::vector<const char*> argv{"prog"};
-  argv.insert(argv.end(), args.begin(), args.end());
-  return Cli(static_cast<int>(argv.size()), argv.data());
-}
-
-TEST(Cli, FlagWithoutValue) {
-  const Cli cli = make({"--csv"});
-  EXPECT_TRUE(cli.has("csv"));
-  EXPECT_TRUE(cli.csv());
-  EXPECT_FALSE(cli.get("csv").has_value());
-}
-
-TEST(Cli, SpaceSeparatedValue) {
-  const Cli cli = make({"--seed", "42"});
-  EXPECT_EQ(cli.get_int("seed", 0), 42);
-}
-
-TEST(Cli, EqualsSeparatedValue) {
-  const Cli cli = make({"--speed=2.5"});
-  EXPECT_DOUBLE_EQ(cli.get_double("speed", 0.0), 2.5);
-}
-
-TEST(Cli, FallbacksWhenAbsent) {
-  const Cli cli = make({});
-  EXPECT_EQ(cli.get_int("n", 7), 7);
-  EXPECT_DOUBLE_EQ(cli.get_double("x", 1.5), 1.5);
-  EXPECT_EQ(cli.get_string("name", "dflt"), "dflt");
-  EXPECT_FALSE(cli.csv());
-}
-
-TEST(Cli, PositionalArguments) {
-  const Cli cli = make({"input.csv", "--csv", "out.csv"});
-  // "--csv out.csv": out.csv is consumed as the value of --csv.
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "input.csv");
-  EXPECT_EQ(cli.get_string("csv", ""), "out.csv");
-}
-
-TEST(Cli, FlagFollowedByFlagTakesNoValue) {
-  const Cli cli = make({"--csv", "--seed", "9"});
-  EXPECT_TRUE(cli.has("csv"));
-  EXPECT_FALSE(cli.get("csv").has_value());
-  EXPECT_EQ(cli.get_int("seed", 0), 9);
-}
-
-TEST(Cli, RejectsMalformedNumbers) {
-  const Cli cli = make({"--seed", "abc"});
-  EXPECT_THROW((void)cli.get_int("seed", 0), std::invalid_argument);
-  const Cli cli2 = make({"--x", "1.2.3"});
-  EXPECT_THROW((void)cli2.get_double("x", 0.0), std::invalid_argument);
-}
-
-// Regression: get_int("seed") on "--seed 42abc" used to return 42 (strtol
-// stopped at the garbage); the strict parser must reject the whole token
-// and name the flag.
-TEST(Cli, RejectsTrailingGarbageInNumbers) {
-  const Cli cli = make({"--seed", "42abc"});
-  try {
-    (void)cli.get_int("seed", 0);
-    FAIL() << "expected CliError";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("--seed"), std::string::npos) << what;
-    EXPECT_NE(what.find("42abc"), std::string::npos) << what;
-  }
-  const Cli cli2 = make({"--eps", "0.5x"});
-  EXPECT_THROW((void)cli2.get_double("eps", 0.0), std::invalid_argument);
-  // An empty value is indistinguishable from a bare flag in the legacy
-  // scanner and falls back instead of throwing.
-  const Cli cli3 = make({"--seed", ""});
-  EXPECT_EQ(cli3.get_int("seed", 7), 7);
-}
-
-TEST(Cli, StringValues) {
-  const Cli cli = make({"--policy", "laps:0.5"});
-  EXPECT_EQ(cli.get_string("policy", "rr"), "laps:0.5");
-}
-
 // ---------------------------------------------------------------------------
 // Options / Parsed -- the typed registration API.
 
@@ -140,6 +61,21 @@ TEST(Options, FlagGivenValueIsError) {
 TEST(Options, MissingValueIsError) {
   EXPECT_THROW((void)parse(standard_options(), {"--seed"}), CliError);
   EXPECT_THROW((void)parse(standard_options(), {"--seed", "--csv"}), CliError);
+  // A valued option never swallows the next flag as its value, even when
+  // the value would parse (a string option accepts any text).
+  try {
+    (void)parse(standard_options(), {"--name", "--csv", "x"});
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--name"), std::string::npos) << what;
+    EXPECT_NE(what.find("missing value"), std::string::npos) << what;
+  }
+  // An inline value may start with "--"; a negative number is a value.
+  const Parsed inline_value = parse(standard_options(), {"--name=--csv"});
+  EXPECT_EQ(inline_value.get_string("name"), "--csv");
+  EXPECT_FALSE(inline_value.flag("csv"));
+  EXPECT_EQ(parse(standard_options(), {"--seed", "-5"}).get_int("seed"), -5);
 }
 
 TEST(Options, MalformedValueNamesFlag) {
@@ -152,6 +88,11 @@ TEST(Options, MalformedValueNamesFlag) {
     EXPECT_NE(what.find("42abc"), std::string::npos) << what;
   }
   EXPECT_THROW((void)parse(standard_options(), {"--speed", "fast"}), CliError);
+  // Strict doubles: the whole token must parse.
+  for (const char* bad : {"1.2.3", "0.5x"}) {
+    EXPECT_THROW((void)parse(standard_options(), {"--speed", bad}), CliError)
+        << bad;
+  }
 }
 
 TEST(Options, HelpRequested) {

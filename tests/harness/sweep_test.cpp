@@ -55,7 +55,8 @@ std::vector<CellResult> sharded_grid(std::size_t workers, std::size_t shards) {
         req.record_trace = false;
         const RunResult result = engine.run(inst, req);
         return CellResult{result.stats.l2, result.stats.mean, stream};
-      });
+      },
+      shards);
 }
 
 TEST(RunSweepSharded, ByteIdenticalAcrossWorkerAndShardCounts) {

@@ -24,7 +24,8 @@ TEST(EndToEnd, Theorem1MiniL2) {
   workload::Rng rng(2025);
   std::vector<Instance> instances;
   instances.push_back(
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng));
+      workload::detail::poisson_load(
+          40, 1, 0.9, workload::ExponentialSize{1.0}, rng));
   instances.push_back(workload::rr_l2_hard(20));
   for (const Instance& inst : instances) {
     RoundRobin rr;
@@ -68,7 +69,7 @@ TEST(EndToEnd, DualCertificateBatch) {
   const double eta = analysis::theorem1_speed(k, eps);
   workload::Rng rng(7);
   for (int trial = 0; trial < 8; ++trial) {
-    const Instance inst = workload::poisson_load(
+    const Instance inst = workload::detail::poisson_load(
         40, 1, 0.95, workload::UniformSize{0.2, 3.0}, rng);
     RoundRobin rr;
     RunRequest req;
@@ -106,7 +107,7 @@ TEST(EndToEnd, MultiMachineCertificates) {
   const double eta = analysis::theorem1_speed(k, eps);
   workload::Rng rng(11);
   for (int m : {1, 2, 4, 8}) {
-    const Instance inst = workload::poisson_load(
+    const Instance inst = workload::detail::poisson_load(
         50, m, 0.95, workload::ExponentialSize{1.0}, rng);
     RoundRobin rr;
     RunRequest req;
@@ -124,8 +125,8 @@ TEST(EndToEnd, MultiMachineCertificates) {
 // T6 in miniature: quantum RR converges to ideal RR.
 TEST(EndToEnd, QuantumConvergence) {
   workload::Rng rng(13);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin ideal;
   RunRequest req;
   req.record_trace = false;
@@ -139,8 +140,8 @@ TEST(EndToEnd, QuantumConvergence) {
 // total flow as well -- same schedule, both norms bounded.
 TEST(EndToEnd, SimultaneousL1AndL2Guarantees) {
   workload::Rng rng(17);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.95, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.95, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   analysis::RatioOptions l1;
   l1.k = 1.0;

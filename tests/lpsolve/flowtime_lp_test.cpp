@@ -48,8 +48,8 @@ TEST(FlowtimeLp, LowerBoundsActualSchedules) {
   // LP/2 <= OPT^k <= any policy's cost, so LP/2 <= SRPT's cost.
   workload::Rng rng(71);
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+    const Instance inst = workload::detail::poisson_load(
+        30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
     FlowtimeLpOptions opt;
     opt.k = k;
     opt.slot = 0.5;
@@ -65,8 +65,8 @@ TEST(FlowtimeLp, LowerBoundsActualSchedules) {
 
 TEST(FlowtimeLp, FinerSlotsGiveTighterBound) {
   workload::Rng rng(73);
-  const Instance inst =
-      workload::poisson_load(20, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      20, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   double prev = 0.0;
   for (double slot : {2.0, 1.0, 0.5, 0.25}) {
     FlowtimeLpOptions opt;
@@ -114,8 +114,8 @@ TEST(FlowtimeLp, McmfMatchesSimplexOnTinyInstances) {
 TEST(FlowtimeLp, CertificateBoundsValueFromBelow) {
   workload::Rng rng(107);
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+    const Instance inst = workload::detail::poisson_load(
+        25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
     FlowtimeLpOptions opt;
     opt.k = k;
     opt.slot = 0.5;
@@ -239,7 +239,7 @@ TEST(FlowtimeLp, AutoSlotGridStaysWithinMaxSlots) {
   std::size_t capped = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const int m = 1 + trial % 3;
-    const Instance inst = workload::poisson_load(
+    const Instance inst = workload::detail::poisson_load(
         static_cast<std::size_t>(5 + trial % 40), m, 0.3 + 0.003 * trial,
         workload::ExponentialSize{0.2 + 0.05 * trial}, rng);
     FlowtimeLpOptions opt;

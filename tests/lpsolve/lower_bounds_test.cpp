@@ -30,8 +30,8 @@ TEST(OptBounds, TrivialBoundIsSumOfSizePowers) {
 TEST(OptBounds, BracketOrderingHolds) {
   workload::Rng rng(89);
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(35, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+    const Instance inst = workload::detail::poisson_load(
+        35, 1, 0.9, workload::ExponentialSize{1.5}, rng);
     OptBoundsOptions opt;
     opt.k = k;
     const OptBounds b = opt_bounds(inst, opt);
@@ -47,8 +47,8 @@ TEST(OptBounds, ProxyBoundsAnyPolicyFromBelow) {
   // implied; instead: proxy <= RR's cost must hold only when SRPT beats RR,
   // which it does for l1 on one machine.
   workload::Rng rng(97);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::ExponentialSize{1.5}, rng);
   OptBoundsOptions opt;
   opt.k = 1.0;
   opt.with_lp = false;
@@ -62,8 +62,8 @@ TEST(OptBounds, ProxyBoundsAnyPolicyFromBelow) {
 
 TEST(OptBounds, MultiMachineBracket) {
   workload::Rng rng(101);
-  const Instance inst =
-      workload::poisson_load(40, 4, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 4, 0.9, workload::ExponentialSize{1.0}, rng);
   OptBoundsOptions opt;
   opt.k = 2.0;
   opt.machines = 4;
@@ -74,8 +74,8 @@ TEST(OptBounds, MultiMachineBracket) {
 TEST(OptBounds, AutoSlotKeepsGridBounded) {
   // A long-horizon instance must be solvable via the auto-coarsened grid.
   workload::Rng rng(103);
-  const Instance inst =
-      workload::poisson_load(80, 1, 0.5, workload::ExponentialSize{10.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      80, 1, 0.5, workload::ExponentialSize{10.0}, rng);
   OptBoundsOptions opt;
   opt.k = 2.0;
   const OptBounds b = opt_bounds(inst, opt);
@@ -101,8 +101,8 @@ TEST(OptBounds, DenormalJobSizeDoesNotPoisonBounds) {
 TEST(OptBounds, CertifiedLbBacksBestLb) {
   workload::Rng rng(109);
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+    const Instance inst = workload::detail::poisson_load(
+        30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
     OptBoundsOptions opt;
     opt.k = k;
     const OptBounds b = opt_bounds(inst, opt);
@@ -118,8 +118,8 @@ TEST(OptBounds, NonIntegerKFallsBackToLpCertificate) {
   // The trivial bound only certifies integer k; for k=1.5 the LP dual
   // certificate must carry the certification on its own.
   workload::Rng rng(113);
-  const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
   OptBoundsOptions opt;
   opt.k = 1.5;
   const OptBounds b = opt_bounds(inst, opt);

@@ -84,10 +84,10 @@ TEST(CpuAccount, AttributesSelfCpuOnce) {
   {
     CpuAccount outer(outer_sink, "cpu_ns");
     volatile std::uint64_t spin = 0;
-    for (int i = 0; i < 100000; ++i) spin += static_cast<std::uint64_t>(i);
+    for (std::uint64_t i = 0; i < 100000; ++i) spin = spin + i;
     {
       CpuAccount inner(inner_sink, "cpu_ns");
-      for (int i = 0; i < 100000; ++i) spin += static_cast<std::uint64_t>(i);
+      for (std::uint64_t i = 0; i < 100000; ++i) spin = spin + i;
     }
   }
   // Both scopes recorded something, and the outer scope excluded the nested

@@ -128,8 +128,8 @@ TEST(Mlfq, IsNonClairvoyantAndDeterministic) {
   Mlfq policy(1.0, 2.0);
   EXPECT_FALSE(policy.clairvoyant());
   workload::Rng rng(53);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
   Mlfq a(1.0, 2.0), b(1.0, 2.0);
   EngineOptions open;
   EngineOptions hidden;
@@ -158,8 +158,8 @@ TEST(Mlfq, BeatsRoundRobinOnBigJobPlusStreamL1) {
 
 TEST(Mlfq, CompletesOnMultipleMachines) {
   workload::Rng rng(61);
-  const Instance inst =
-      workload::poisson_load(50, 4, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 4, 0.9, workload::ExponentialSize{1.0}, rng);
   Mlfq mlfq(0.5, 2.0);
   EngineOptions eo;
   eo.machines = 4;

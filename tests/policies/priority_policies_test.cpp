@@ -53,8 +53,8 @@ TEST(Srpt, IsOptimalForTotalFlowOnSingleMachine) {
   // policy must be >= it.
   workload::Rng rng(17);
   for (int trial = 0; trial < 10; ++trial) {
-    const Instance inst =
-        workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
+    const Instance inst = workload::detail::poisson_load(
+        40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
     EngineOptions eo;
     eo.record_trace = false;
     Srpt srpt;
@@ -128,8 +128,8 @@ TEST(Fcfs, IsNonClairvoyant) {
   Fcfs fcfs;
   EXPECT_FALSE(fcfs.clairvoyant());
   workload::Rng rng(23);
-  const Instance inst =
-      workload::poisson_load(30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   Fcfs open, blind;
   EngineOptions ho;
   ho.hide_sizes = true;
@@ -165,8 +165,8 @@ TEST(Laps, RejectsBadBeta) {
 
 TEST(Laps, BetaOneIsRoundRobin) {
   workload::Rng rng(31);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   Laps laps(1.0);
   RoundRobin rr;
   EngineOptions eo;

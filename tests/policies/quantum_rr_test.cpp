@@ -43,8 +43,8 @@ TEST(QuantumRr, NoRotationWhenJobsFitOnMachines) {
 
 TEST(QuantumRr, TinyQuantumApproachesIdealRoundRobin) {
   workload::Rng rng(29);
-  const Instance inst =
-      workload::poisson_load(30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin ideal;
   EngineOptions eo;
   eo.record_trace = false;
@@ -104,8 +104,8 @@ TEST(QuantumRr, ArrivalsJoinTheBackOfTheQueue) {
 
 TEST(QuantumRr, CompletesRandomWorkload) {
   workload::Rng rng(37);
-  const Instance inst =
-      workload::poisson_load(60, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      60, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   QuantumRoundRobin qrr(0.5, 0.01);
   EngineOptions eo;
   eo.machines = 2;

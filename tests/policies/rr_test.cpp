@@ -75,8 +75,8 @@ TEST(RoundRobin, SmallerJobFinishesFirstInSharedRun) {
 
 TEST(RoundRobin, WorksNonClairvoyantly) {
   workload::Rng rng(3);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin rr_open, rr_blind;
   EngineOptions open;
   EngineOptions blind;
@@ -91,8 +91,8 @@ TEST(RoundRobin, WorksNonClairvoyantly) {
 TEST(RoundRobin, MatchesPaperRateFormula) {
   // m_j(t) = speed * min(1, m / n_t) in every trace interval.
   workload::Rng rng(11);
-  const Instance inst =
-      workload::poisson_load(30, 3, 1.1, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      30, 3, 1.1, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
   EngineOptions eo;
   eo.machines = 3;
@@ -109,8 +109,8 @@ TEST(RoundRobin, MatchesPaperRateFormula) {
 
 TEST(RoundRobin, FlowTimesWeaklyDecreaseWithSpeed) {
   workload::Rng rng(5);
-  const Instance inst =
-      workload::poisson_load(60, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      60, 1, 0.9, workload::ExponentialSize{1.5}, rng);
   double prev = std::numeric_limits<double>::infinity();
   for (double speed : {1.0, 1.5, 2.0, 3.0, 4.0}) {
     RoundRobin rr;
@@ -125,8 +125,8 @@ TEST(RoundRobin, FlowTimesWeaklyDecreaseWithSpeed) {
 
 TEST(RoundRobin, MoreMachinesNeverHurt) {
   workload::Rng rng(6);
-  const Instance inst =
-      workload::poisson_load(60, 1, 1.2, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      60, 1, 1.2, workload::ExponentialSize{1.5}, rng);
   double prev = std::numeric_limits<double>::infinity();
   for (int m : {1, 2, 4, 8}) {
     RoundRobin rr;

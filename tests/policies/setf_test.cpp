@@ -104,8 +104,8 @@ TEST(Setf, BreakpointStopsAtLevelCatchUp) {
 
 TEST(Setf, WorksNonClairvoyantly) {
   workload::Rng rng(43);
-  const Instance inst =
-      workload::poisson_load(40, 2, 0.9, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 2, 0.9, workload::ExponentialSize{1.5}, rng);
   Setf open, blind;
   EngineOptions visible;
   visible.machines = 2;
@@ -123,8 +123,8 @@ TEST(Setf, HandlesManyTiedGroupsWithoutStepExplosion) {
   // Jobs arriving in quick succession create many distinct attained levels;
   // the chained grouping must keep the event count manageable.
   workload::Rng rng(47);
-  const Instance inst =
-      workload::poisson_load(120, 1, 0.95, workload::UniformSize{0.5, 1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      120, 1, 0.95, workload::UniformSize{0.5, 1.5}, rng);
   Setf setf;
   EngineOptions eo;
   eo.record_trace = false;

@@ -34,8 +34,8 @@ TEST(Hdf, RunsHighestDensityFirst) {
 TEST(Hdf, EqualWeightsReduceToSjf) {
   // With unit weights density = 1/p: highest density = smallest size = SJF.
   workload::Rng rng(5);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
   Hdf hdf;
   Sjf sjf;
   EngineOptions eo;
@@ -49,8 +49,8 @@ TEST(Hdf, EqualWeightsReduceToSjf) {
 
 TEST(Hdf, MinimizesWeightedL1AmongTestedPolicies) {
   workload::Rng rng(7);
-  Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+  Instance inst = workload::detail::poisson_load(
+      50, 1, 0.9, workload::ExponentialSize{1.5}, rng);
   inst = workload::with_weights(inst, workload::WeightScheme::kRandom, rng);
   EngineOptions eo;
   eo.record_trace = false;
@@ -95,8 +95,8 @@ TEST(Wprr, SharesProportionallyToWeights) {
 
 TEST(Wprr, UnitWeightsEqualRoundRobin) {
   workload::Rng rng(11);
-  const Instance inst =
-      workload::poisson_load(40, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   WeightProportionalRoundRobin wprr;
   RoundRobin rr;
   EngineOptions eo;
@@ -125,8 +125,8 @@ TEST(Wprr, IsNonClairvoyant) {
   WeightProportionalRoundRobin wprr;
   EXPECT_FALSE(wprr.clairvoyant());
   workload::Rng rng(13);
-  Instance inst =
-      workload::poisson_load(30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+  Instance inst = workload::detail::poisson_load(
+      30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   inst = workload::with_weights(inst, workload::WeightScheme::kRandom, rng);
   WeightProportionalRoundRobin open, blind;
   EngineOptions hidden;

@@ -96,8 +96,8 @@ TEST(WeightedRoundRobin, OlderJobGetsLargerShare) {
 
 TEST(WeightedRoundRobin, CompletesEverythingAndConservesWork) {
   workload::Rng rng(13);
-  const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   WeightedRoundRobin wrr;
   const Schedule s = EngineCore().run(inst, wrr);
   s.validate();
@@ -118,8 +118,8 @@ TEST(WeightedRoundRobin, HelpsL2OverRrOnStarvedBigJob) {
   // expected (RR already serves it); instead check WRR completes and is
   // within a small factor of RR on a random instance.
   workload::Rng rng(19);
-  const Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   WeightedRoundRobin wrr;
   EngineOptions eo;
   eo.record_trace = false;

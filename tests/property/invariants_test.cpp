@@ -49,15 +49,16 @@ std::string case_name(const SweepCase& c) {
 Instance make_workload(const SweepCase& c) {
   workload::Rng rng(c.seed);
   if (c.workload == "poisson") {
-    return workload::poisson_load(50, c.machines, 0.9,
+    return workload::detail::poisson_load(50, c.machines, 0.9,
                                   workload::ExponentialSize{1.5}, rng);
   }
   if (c.workload == "bimodal") {
-    return workload::poisson_load(50, c.machines, 0.85,
+    return workload::detail::poisson_load(50, c.machines, 0.85,
                                   workload::BimodalSize{0.9, 1.0, 25.0}, rng);
   }
   if (c.workload == "burst") {
-    return workload::bursty_stream(5, 12, 8.0, workload::UniformSize{0.5, 1.5}, rng);
+    return workload::detail::bursty_stream(
+        5, 12, 8.0, workload::UniformSize{0.5, 1.5}, rng);
   }
   return workload::rr_l2_hard(15);
 }
@@ -323,8 +324,8 @@ TEST(InvariantNegative, CleanRrRunPassesEverything) {
   // Positive control: a real engine run with the full RR trait set (work
   // conserving, shares all alive, equal share) survives the whole battery.
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(60, 2, 0.9, workload::ExponentialSize{1.2}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      60, 2, 0.9, workload::ExponentialSize{1.2}, rng);
   RunRequest request;
   request.policy = "rr";
   request.machines = 2;
@@ -383,8 +384,8 @@ TEST(InvariantStatsApi, RegistryListsBuiltinBattery) {
 
 TEST(InvariantStatsApi, SampledModeChecksEveryNthEpoch) {
   workload::Rng rng(11);
-  const Instance inst =
-      workload::poisson_load(200, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      200, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   RunRequest request;
   request.policy = "rr";
   request.invariants = InvariantMode::kSampled;

@@ -161,7 +161,8 @@ TEST_P(SimulatorVsTheory, MeanFlowMatchesMg1) {
   const std::size_t n = 6000, warmup = 500;
   for (int r = 0; r < runs; ++r) {
     workload::Rng rng(1000 + r);
-    const Instance inst = workload::poisson_load(n, 1, load, dist, rng);
+    const Instance inst =
+        workload::detail::poisson_load(n, 1, load, dist, rng);
     auto policy = make_policy(policy_name);
     EngineOptions eo;
     eo.record_trace = false;

@@ -46,8 +46,8 @@ TEST(RelatedRoundRobin, OverloadedUsesAllCapacity) {
 
 TEST(RelatedRoundRobin, IdenticalSpeedsMatchCoreRr) {
   workload::Rng rng(3);
-  const Instance inst =
-      workload::poisson_load(40, 3, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      40, 3, 0.9, workload::ExponentialSize{1.0}, rng);
   RelatedRoundRobin rel;
   RelSimOptions ro;
   ro.speeds = {1.0, 1.0, 1.0};
@@ -116,8 +116,8 @@ TEST(SimulateRelated, RejectsBadOptions) {
 
 TEST(SimulateRelated, SrptBeatsRrOnTotalFlowHeterogeneous) {
   workload::Rng rng(7);
-  const Instance inst =
-      workload::poisson_load(50, 3, 0.9, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      50, 3, 0.9, workload::ExponentialSize{1.5}, rng);
   RelatedSrpt srpt;
   RelatedRoundRobin rr;
   RelSimOptions ro;
@@ -129,8 +129,8 @@ TEST(SimulateRelated, SrptBeatsRrOnTotalFlowHeterogeneous) {
 
 TEST(SimulateRelated, EveryJobCompletes) {
   workload::Rng rng(11);
-  const Instance inst =
-      workload::poisson_load(60, 2, 1.1, workload::ParetoSize{1.8, 0.5, 30.0}, rng);
+  const Instance inst = workload::detail::poisson_load(
+      60, 2, 1.1, workload::ParetoSize{1.8, 0.5, 30.0}, rng);
   for (auto make : {+[]() -> std::unique_ptr<RelPolicy> {
                       return std::make_unique<RelatedRoundRobin>();
                     },

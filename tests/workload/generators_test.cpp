@@ -69,13 +69,13 @@ TEST(SizeDist, NamesAreDescriptive) {
 
 TEST(PoissonStream, ProducesRequestedCount) {
   Rng rng(6);
-  const Instance inst = poisson_stream(75, 1.0, FixedSize{1.0}, rng);
+  const Instance inst = detail::poisson_stream(75, 1.0, FixedSize{1.0}, rng);
   EXPECT_EQ(inst.n(), 75u);
 }
 
 TEST(PoissonStream, ReleasesAreNonDecreasingInId) {
   Rng rng(7);
-  const Instance inst = poisson_stream(50, 2.0, FixedSize{1.0}, rng);
+  const Instance inst = detail::poisson_stream(50, 2.0, FixedSize{1.0}, rng);
   for (JobId j = 1; j < inst.n(); ++j) {
     EXPECT_GE(inst.job(j).release, inst.job(j - 1).release);
   }
@@ -83,38 +83,40 @@ TEST(PoissonStream, ReleasesAreNonDecreasingInId) {
 
 TEST(PoissonStream, InterarrivalMeanMatchesLambda) {
   Rng rng(8);
-  const Instance inst = poisson_stream(20000, 4.0, FixedSize{1.0}, rng);
+  const Instance inst =
+      detail::poisson_stream(20000, 4.0, FixedSize{1.0}, rng);
   const double mean_gap = inst.max_release() / static_cast<double>(inst.n());
   EXPECT_NEAR(mean_gap, 0.25, 0.02);
 }
 
 TEST(PoissonStream, RejectsBadLambda) {
   Rng rng(9);
-  EXPECT_THROW((void)poisson_stream(10, 0.0, FixedSize{1.0}, rng),
+  EXPECT_THROW((void)detail::poisson_stream(10, 0.0, FixedSize{1.0}, rng),
                std::invalid_argument);
 }
 
 TEST(PoissonLoad, UtilizationCalibration) {
   // lambda * E[size] / m == utilization: check empirically via arrival rate.
   Rng rng(10);
-  const Instance inst = poisson_load(20000, 2, 0.8, ExponentialSize{2.0}, rng);
+  const Instance inst = detail::poisson_load(
+      20000, 2, 0.8, ExponentialSize{2.0}, rng);
   const double lambda_hat = static_cast<double>(inst.n()) / inst.max_release();
   EXPECT_NEAR(lambda_hat * 2.0 / 2.0, 0.8, 0.05);
 }
 
 TEST(PoissonLoad, RejectsBadUtilization) {
   Rng rng(11);
-  EXPECT_THROW((void)poisson_load(10, 1, 0.0, FixedSize{1.0}, rng),
+  EXPECT_THROW((void)detail::poisson_load(10, 1, 0.0, FixedSize{1.0}, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)poisson_load(10, 1, 2.0, FixedSize{1.0}, rng),
+  EXPECT_THROW((void)detail::poisson_load(10, 1, 2.0, FixedSize{1.0}, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)poisson_load(10, 0, 0.5, FixedSize{1.0}, rng),
+  EXPECT_THROW((void)detail::poisson_load(10, 0, 0.5, FixedSize{1.0}, rng),
                std::invalid_argument);
 }
 
 TEST(BurstyStream, StructureIsCorrect) {
   Rng rng(12);
-  const Instance inst = bursty_stream(3, 4, 10.0, FixedSize{1.0}, rng);
+  const Instance inst = detail::bursty_stream(3, 4, 10.0, FixedSize{1.0}, rng);
   ASSERT_EQ(inst.n(), 12u);
   for (JobId j = 0; j < 12; ++j) {
     EXPECT_DOUBLE_EQ(inst.job(j).release, 10.0 * static_cast<double>(j / 4));
@@ -122,7 +124,7 @@ TEST(BurstyStream, StructureIsCorrect) {
 }
 
 TEST(UniformStream, EvenlySpaced) {
-  const Instance inst = uniform_stream(5, 2.0, 1.5, 1.0);
+  const Instance inst = detail::uniform_stream(5, 2.0, 1.5, 1.0);
   ASSERT_EQ(inst.n(), 5u);
   for (JobId j = 0; j < 5; ++j) {
     EXPECT_DOUBLE_EQ(inst.job(j).release, 1.0 + 2.0 * j);
@@ -132,8 +134,8 @@ TEST(UniformStream, EvenlySpaced) {
 
 TEST(Generators, DeterministicGivenSeed) {
   Rng a(99), b(99);
-  const Instance ia = poisson_stream(30, 1.0, ExponentialSize{1.0}, a);
-  const Instance ib = poisson_stream(30, 1.0, ExponentialSize{1.0}, b);
+  const Instance ia = detail::poisson_stream(30, 1.0, ExponentialSize{1.0}, a);
+  const Instance ib = detail::poisson_stream(30, 1.0, ExponentialSize{1.0}, b);
   for (JobId j = 0; j < 30; ++j) {
     EXPECT_DOUBLE_EQ(ia.job(j).release, ib.job(j).release);
     EXPECT_DOUBLE_EQ(ia.job(j).size, ib.job(j).size);

@@ -42,7 +42,7 @@ void expect_same_jobs(const Instance& a, const Instance& b) {
 TEST(WorkloadSource, PoissonSpecMatchesDeprecatedGenerator) {
   const SizeDist dist = ParetoSize{1.8, 0.5};
   Rng rng(7);
-  const Instance legacy = poisson_load(200, 2, 0.9, dist, rng);
+  const Instance legacy = detail::poisson_load(200, 2, 0.9, dist, rng);
   const Instance via_spec =
       make_instance(WorkloadSpec::poisson(200, 0.9, dist, 7, 2));
   expect_same_jobs(legacy, via_spec);
@@ -51,14 +51,14 @@ TEST(WorkloadSource, PoissonSpecMatchesDeprecatedGenerator) {
 TEST(WorkloadSource, BurstySpecMatchesDeprecatedGenerator) {
   const SizeDist dist = ExponentialSize{2.0};
   Rng rng(5);
-  const Instance legacy = bursty_stream(6, 9, 12.0, dist, rng);
+  const Instance legacy = detail::bursty_stream(6, 9, 12.0, dist, rng);
   const Instance via_spec =
       make_instance(WorkloadSpec::bursty(6, 9, 12.0, dist, 5));
   expect_same_jobs(legacy, via_spec);
 }
 
 TEST(WorkloadSource, UniformSpecMatchesDeprecatedGenerator) {
-  const Instance legacy = uniform_stream(30, 1.5, 2.0, 0.25);
+  const Instance legacy = detail::uniform_stream(30, 1.5, 2.0, 0.25);
   const Instance via_spec =
       make_instance(WorkloadSpec::uniform(30, 1.5, 2.0, 0.25));
   expect_same_jobs(legacy, via_spec);
@@ -80,8 +80,7 @@ TEST(WorkloadSource, StreamAndInstanceAgreeBitwise) {
 
 TEST(WorkloadSource, SourcesAreReusable) {
   // Two stream() calls from one source re-derive the same jobs -- the
-  // property that lets a spec mean the same workload on both ends of a
-  // daemon connection.
+  // property that lets a spec mean the same workload in every run.
   const std::unique_ptr<WorkloadSource> source =
       make_source("poisson:n=100,load=0.9,seed=11");
   const auto first = source->stream();

@@ -47,7 +47,8 @@ void expect_same_jobs(const Instance& a, const Instance& b) {
 
 TEST(TraceIo, RoundTripThroughStream) {
   Rng rng(1);
-  const Instance inst = poisson_stream(25, 1.3, ExponentialSize{2.7}, rng);
+  const Instance inst = detail::poisson_stream(
+      25, 1.3, ExponentialSize{2.7}, rng);
   std::stringstream ss;
   write_csv(inst, ss);
   const Instance back = read_csv(ss);
@@ -128,7 +129,8 @@ TEST(TraceIo, FileRoundTrip) {
   const auto path =
       std::filesystem::temp_directory_path() / "tempofair_trace_test.csv";
   Rng rng(5);
-  const Instance inst = poisson_stream(10, 1.0, UniformSize{0.5, 2.0}, rng);
+  const Instance inst = detail::poisson_stream(
+      10, 1.0, UniformSize{0.5, 2.0}, rng);
   write_csv_file(inst, path.string());
   const Instance back = read_csv_file(path.string());
   EXPECT_EQ(back.n(), inst.n());
@@ -157,7 +159,8 @@ TEST(TraceIo, CsvNonFiniteFieldRejected) {
 
 TEST(TraceIoBinary, RoundTripThroughStream) {
   Rng rng(11);
-  const Instance inst = poisson_stream(40, 0.9, ParetoSize{1.8, 0.5}, rng);
+  const Instance inst = detail::poisson_stream(
+      40, 0.9, ParetoSize{1.8, 0.5}, rng);
   std::stringstream ss;
   write_binary(inst, ss);
   const Instance back = read_binary(ss);
@@ -168,7 +171,8 @@ TEST(TraceIoBinary, CsvAndBinaryRoundTripsAreByteIdentical) {
   // The acceptance path: instance -> CSV -> instance -> binary -> instance
   // with every field surviving both formats bitwise.
   Rng rng(12);
-  Instance inst = poisson_stream(60, 1.1, BimodalSize{0.8, 0.5, 4.0}, rng);
+  Instance inst = detail::poisson_stream(
+      60, 1.1, BimodalSize{0.8, 0.5, 4.0}, rng);
   inst = with_weights(inst, WeightScheme::kRandom, rng);
   std::stringstream csv;
   write_csv(inst, csv);
@@ -184,7 +188,8 @@ TEST(TraceIoBinary, FileSniffingDispatchesByMagic) {
   const auto csv_path = temp_file("tempofair_sniff.csv");
   const auto bin_path = temp_file("tempofair_sniff.bin");
   Rng rng(13);
-  const Instance inst = poisson_stream(10, 1.0, ExponentialSize{1.0}, rng);
+  const Instance inst = detail::poisson_stream(
+      10, 1.0, ExponentialSize{1.0}, rng);
   write_csv_file(inst, csv_path.string());
   write_binary_file(inst, bin_path.string());
   EXPECT_FALSE(is_binary_trace_file(csv_path.string()));
@@ -230,7 +235,8 @@ TEST(TraceIoBinary, ProbeReadsHeaderOnly) {
   const auto bin_path = temp_file("tempofair_probe.bin");
   const auto csv_path = temp_file("tempofair_probe.csv");
   Rng rng(14);
-  const Instance inst = poisson_stream(17, 1.0, ExponentialSize{1.0}, rng);
+  const Instance inst = detail::poisson_stream(
+      17, 1.0, ExponentialSize{1.0}, rng);
   write_binary_file(inst, bin_path.string());
   write_csv_file(inst, csv_path.string());
 
@@ -288,7 +294,8 @@ TEST(TraceIoStream, ProbeDetectsUnsortedCsv) {
 TEST(TraceIoStream, CsvStreamMatchesMaterializedReader) {
   const auto path = temp_file("tempofair_stream.csv");
   Rng rng(15);
-  const Instance inst = poisson_stream(50, 1.2, ExponentialSize{2.0}, rng);
+  const Instance inst = detail::poisson_stream(
+      50, 1.2, ExponentialSize{2.0}, rng);
   write_csv_file(inst, path.string());
 
   CsvTraceStream stream(path.string());
@@ -307,7 +314,7 @@ TEST(TraceIoStream, BinaryStreamRefillsAcrossBlocks) {
   // More rows than one buffered block, so next() exercises refill().
   const std::size_t n = BinaryTraceStream::kBlock + 257;
   const auto path = temp_file("tempofair_blocks.bin");
-  const Instance inst = uniform_stream(n, 0.25, 1.0);
+  const Instance inst = detail::uniform_stream(n, 0.25, 1.0);
   write_binary_file(inst, path.string());
 
   BinaryTraceStream stream(path.string());

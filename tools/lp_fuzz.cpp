@@ -6,11 +6,11 @@
 // flow, see src/lpsolve/lp_fuzz.h), prints a summary, optionally writes a
 // JSON artifact recording the seed, and exits nonzero on any disagreement.
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "harness/cli.h"
 #include "lpsolve/lp_fuzz.h"
 
 namespace {
@@ -34,33 +34,39 @@ std::string json_escape(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using tempofair::harness::CliError;
   using tempofair::lpsolve::LpFuzzOptions;
   using tempofair::lpsolve::LpFuzzReport;
 
   LpFuzzOptions options;
+  tempofair::harness::Options cli(
+      "lp_fuzz",
+      "Differential LP fuzz: float simplex vs exact-rational solver vs\n"
+      "min-cost flow.  Exits 1 on any disagreement.");
+  cli.value("count", static_cast<long>(options.count), "random LPs to solve")
+      .value("out", std::string(), "write a JSON artifact here");
+  tempofair::harness::add_seed_flag(cli, static_cast<long>(options.seed));
+
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* name) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "lp_fuzz: " << name << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--count") {
-      options.count = std::stoull(need_value("--count"));
-    } else if (arg == "--seed") {
-      options.seed = std::stoull(need_value("--seed"));
-    } else if (arg == "--out") {
-      out_path = need_value("--out");
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: lp_fuzz [--count N] [--seed S] [--out file.json]\n";
+  try {
+    const tempofair::harness::Parsed parsed = cli.parse(argc, argv);
+    if (parsed.help_requested()) {
+      cli.print_help(std::cout);
       return 0;
-    } else {
-      std::cerr << "lp_fuzz: unknown argument " << arg << "\n";
-      return 2;
     }
+    if (!parsed.positional().empty()) {
+      throw CliError("lp_fuzz: unexpected argument " + parsed.positional()[0]);
+    }
+    const long count = parsed.get_int("count");
+    if (count < 1) throw CliError("--count: must be >= 1");
+    const long seed = parsed.get_int("seed");
+    if (seed < 0) throw CliError("--seed: must be >= 0");
+    options.count = static_cast<std::size_t>(count);
+    options.seed = static_cast<std::uint64_t>(seed);
+    out_path = parsed.get_string("out");
+  } catch (const CliError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
 
   const LpFuzzReport rep = tempofair::lpsolve::run_lp_fuzz(options);

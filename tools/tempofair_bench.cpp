@@ -115,31 +115,21 @@ int main(int argc, char** argv) {
   }
 
   // Pass the explicitly-given overrides through to the experiments' param
-  // lookups via a synthetic Cli; defaults stay per-experiment.
-  std::vector<std::string> fwd{"tempofair_bench"};
+  // lookups; defaults stay per-experiment.
+  bench::ParamOverrides overrides;
   for (const char* name : {"seed", "n", "trials"}) {
     if (parsed.given(name)) {
-      fwd.push_back(std::string("--") + name);
-      fwd.push_back(std::to_string(parsed.get_int(name)));
+      overrides[name] = std::to_string(parsed.get_int(name));
     }
   }
   if (parsed.given("eps")) {
     std::ostringstream text;
     text << parsed.get_double("eps");
-    fwd.push_back("--eps");
-    fwd.push_back(text.str());
+    overrides["eps"] = text.str();
   }
   for (const char* name : {"trace", "workload", "grid-out"}) {
-    if (parsed.given(name)) {
-      fwd.push_back(std::string("--") + name);
-      fwd.push_back(parsed.get_string(name));
-    }
+    if (parsed.given(name)) overrides[name] = parsed.get_string(name);
   }
-  if (parsed.flag("csv")) fwd.push_back("--csv");
-  std::vector<const char*> fwd_argv;
-  fwd_argv.reserve(fwd.size());
-  for (const std::string& token : fwd) fwd_argv.push_back(token.c_str());
-  const harness::Cli cli(static_cast<int>(fwd_argv.size()), fwd_argv.data());
 
   const bool smoke = parsed.flag("smoke");
   const bool csv = parsed.flag("csv");
@@ -164,8 +154,8 @@ int main(int argc, char** argv) {
   std::vector<std::future<bench::RunOutcome>> futures;
   futures.reserve(selected.size());
   for (const bench::ExperimentSpec* spec : selected) {
-    futures.push_back(pool.submit([spec, &cli, &pool, smoke, csv] {
-      return bench::run_experiment(*spec, cli, pool, smoke, csv);
+    futures.push_back(pool.submit([spec, &overrides, &pool, smoke, csv] {
+      return bench::run_experiment(*spec, overrides, pool, smoke, csv);
     }));
   }
 

@@ -9,8 +9,8 @@
 //   tempofair-sim compare --workload trace:jobs.csv [--machines 1] [--k 2]
 //
 // All workload selection goes through the one WorkloadSpec grammar
-// (workload/spec.h): the same string names the same jobs here, in
-// tempofair_bench, and in a tempofaird SUBMIT.  `--instance PATH` is
+// (workload/spec.h): the same string names the same jobs here and in
+// tempofair_bench.  `--instance PATH` is
 // shorthand for `--workload trace:PATH`.  `run` prints the flow-time
 // statistics (and optionally the fairness report and the paper's
 // dual-fitting certificate); `compare` tabulates every built-in policy.
