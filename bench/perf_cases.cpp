@@ -376,46 +376,52 @@ Report run_fastpath_cases(const CaseOptions& options) {
     report.cases.push_back(std::move(c));
   }
 
-  // --- OPT bracket with the LP: opt_bounds on a fixed T2 family -----------
+  // --- OPT bracket with the LP: opt_bounds on fixed T2 families ---------
   // The Section 3.1 LP (min-cost flow), its exact dual certificate and the
-  // SRPT/SJF proxy runs, on standard_workloads' poisson-exp-0.9 family at
-  // k=2.  The library's own counters split the run between the min-cost
-  // flow and the certificate repair, count the arcs the flow's Dijkstra
-  // tested, and give the share of job->slot arcs the certificate had to
-  // evaluate in Rational.
+  // SRPT/SJF proxy runs at k=2, on standard_workloads' poisson-exp-0.9
+  // family and on adv-geometric (255 jobs in 8 classes of identical jobs,
+  // the same at every n).  The library's own counters split the run between
+  // the min-cost flow and the certificate repair, count the flow graph's job
+  // classes and the arcs its Dijkstra tested, and give the share of
+  // class->slot arcs the certificate had to evaluate in Rational.
   {
     const std::size_t n_lp = smoke ? 20 : 50;
     const std::vector<bench::NamedInstance> families =
         bench::standard_workloads(n_lp, 1, kSeed);
-    const auto family = std::find_if(
-        families.begin(), families.end(), [](const bench::NamedInstance& f) {
-          return f.name == "poisson-exp-0.9";
-        });
-    lpsolve::OptBoundsOptions opt;
-    opt.k = 2.0;
-    obs::Sink counters;
-    lpsolve::OptBounds bounds;
-    CaseResult c = measure(
-        "opt_bounds_lp_" + std::to_string(n_lp) + suffix, repeats, [&] {
-          const obs::ScopedSink scope(&counters);
-          bounds = lpsolve::opt_bounds(family->instance, opt);
-        });
-    const auto per_solve = [&](const char* counter) {
-      return static_cast<double>(counters.value(counter)) /
-             static_cast<double>(counters.value("lpsolve.mcmf.calls"));
+    const auto time_opt_bounds = [&](const std::string& name,
+                                     const std::string& family_name) {
+      const auto family = std::find_if(
+          families.begin(), families.end(),
+          [&](const bench::NamedInstance& f) { return f.name == family_name; });
+      lpsolve::OptBoundsOptions opt;
+      opt.k = 2.0;
+      obs::Sink counters;
+      lpsolve::OptBounds bounds;
+      CaseResult c = measure(name + suffix, repeats, [&] {
+        const obs::ScopedSink scope(&counters);
+        bounds = lpsolve::opt_bounds(family->instance, opt);
+      });
+      const auto per_solve = [&](const char* counter) {
+        return static_cast<double>(counters.value(counter)) /
+               static_cast<double>(counters.value("lpsolve.mcmf.calls"));
+      };
+      c.stats["jobs"] = static_cast<double>(family->instance.n());
+      c.stats["lp_lb"] = bounds.lp_lb;
+      c.stats["certified_lb"] = bounds.certified_lb;
+      c.stats["mcmf_s"] = 1e-9 * per_solve("lpsolve.mcmf.ns");
+      c.stats["certify_s"] = 1e-9 * per_solve("lpsolve.certify.ns");
+      c.stats["job_classes"] = per_solve("mcmf.job_classes");
+      c.stats["augmentations"] = per_solve("mcmf.augmentations");
+      c.stats["settled"] = per_solve("mcmf.settled");
+      c.stats["arc_scans"] = per_solve("mcmf.arc_scans");
+      c.stats["exact_arc_share"] =
+          static_cast<double>(counters.value("lpcert.flow.exact_arcs")) /
+          static_cast<double>(counters.value("lpcert.flow.arcs"));
+      report.cases.push_back(std::move(c));
     };
-    c.stats["jobs"] = static_cast<double>(n_lp);
-    c.stats["lp_lb"] = bounds.lp_lb;
-    c.stats["certified_lb"] = bounds.certified_lb;
-    c.stats["mcmf_s"] = 1e-9 * per_solve("lpsolve.mcmf.ns");
-    c.stats["certify_s"] = 1e-9 * per_solve("lpsolve.certify.ns");
-    c.stats["augmentations"] = per_solve("mcmf.augmentations");
-    c.stats["settled"] = per_solve("mcmf.settled");
-    c.stats["arc_scans"] = per_solve("mcmf.arc_scans");
-    c.stats["exact_arc_share"] =
-        static_cast<double>(counters.value("lpcert.flow.exact_arcs")) /
-        static_cast<double>(counters.value("lpcert.flow.arcs"));
-    report.cases.push_back(std::move(c));
+    time_opt_bounds("opt_bounds_lp_" + std::to_string(n_lp),
+                    "poisson-exp-0.9");
+    time_opt_bounds("opt_bounds_lp_geometric", "adv-geometric");
   }
 
   // --- Search LP certificate: the adversary search's denominator ---------

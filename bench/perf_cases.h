@@ -8,8 +8,9 @@
 // pairs run on the identical instance so the derived
 // `speedup_vs_event_loop` stat is apples to apples.  Four cases leave the
 // engine: flow_stats_* times the metrics summary of a finished run,
-// opt_bounds_lp_* times the OPT bracket with its LP lower bound on a
-// fixed T2 family, so the min-cost flow and the certificate are gated too,
+// opt_bounds_lp_* times the OPT bracket with its LP lower bound on two
+// fixed T2 families (a Poisson stream and the batch-shaped adv-geometric),
+// so the min-cost flow and the certificate are gated too,
 // certify_search_lp_* times the adversary search's certified denominator
 // (the MCMF solve and its exact dual check), and dual_fit_* times the
 // dual-fitting verifier on a traced RR schedule.

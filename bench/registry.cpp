@@ -79,9 +79,7 @@ double RunContext::double_param(const std::string& name, double fallback) {
   const double v = given != nullptr
                        ? harness::detail::parse_double(name, *given)
                        : fallback;
-  std::ostringstream text;
-  text << v;
-  params_[name] = text.str();
+  params_[name] = harness::detail::format_double(v);
   return v;
 }
 

@@ -1,7 +1,9 @@
 #include "harness/cli.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <iomanip>
 #include <ostream>
@@ -36,6 +38,13 @@ double parse_double(const std::string& flag, const std::string& text) {
     throw CliError("--" + flag + ": number out of range: '" + text + "'");
   }
   return parsed;
+}
+
+std::string format_double(double v) {
+  std::array<char, 32> buf;  // the longest shortest form is 24 characters
+  const std::to_chars_result r =
+      std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  return std::string(buf.data(), r.ptr);
 }
 
 }  // namespace detail

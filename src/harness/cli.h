@@ -34,6 +34,9 @@ namespace detail {
 [[nodiscard]] long parse_long(const std::string& flag, const std::string& text);
 [[nodiscard]] double parse_double(const std::string& flag,
                                   const std::string& text);
+/// The shortest decimal text that parse_double() reads back as exactly `v`,
+/// for handing a parsed number on as text without rounding it.
+[[nodiscard]] std::string format_double(double v);
 }  // namespace detail
 
 class Parsed;

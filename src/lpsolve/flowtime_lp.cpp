@@ -1,16 +1,21 @@
-// The discretized Section 3.1 LP: slot grid, unit costs, the min-cost-flow
-// solve and its exact dual certificate (certify_flowtime_dual), plus the
-// dense builder for the simplex cross-check.  The certificate decides most
-// dual constraints in doubles, inside a stated range where that is exact,
-// and the rest in Rational; its result has the same bits as checking every
-// constraint in Rational.
+// The discretized Section 3.1 LP: slot grid, unit costs, the grouping of
+// identical jobs into classes, the min-cost-flow solve and its exact dual
+// certificate (certify_flowtime_dual), plus the dense per-job builder for the
+// simplex cross-check.  The certificate decides most dual constraints in
+// doubles, inside a stated range where that is exact, and the rest in
+// Rational; its result has the same bits as checking every constraint in
+// Rational.
 #include "lpsolve/flowtime_lp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lpsolve/mincost_flow.h"
@@ -94,6 +99,52 @@ void require_slot_for(const Job& j, const Grid& g) {
   }
 }
 
+/// The included jobs grouped into classes of bitwise-equal (release, size).
+/// Members of a class have identical cost rows, so the LP keeps one demand
+/// row per class with the members' summed size (see flowtime_lp.h).
+/// Classes are numbered in order of their lowest member's job id.
+struct JobClasses {
+  std::vector<const Job*> leader;  ///< per class: its lowest-id member
+  std::vector<double> supply;      ///< per class: members' sizes, id order
+  std::vector<std::size_t> of;     ///< per included job: its class
+};
+
+/// One index sort by (release bits, size bits, index): each run of equal
+/// keys is a class, and its first index is the class's lowest member.
+JobClasses group_identical_jobs(const std::vector<const Job*>& included) {
+  const std::size_t n = included.size();
+  const auto key = [&](std::size_t i) {
+    return std::pair{std::bit_cast<std::uint64_t>(included[i]->release),
+                     std::bit_cast<std::uint64_t>(included[i]->size)};
+  };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const auto ka = key(a);
+    const auto kb = key(b);
+    return ka < kb || (ka == kb && a < b);
+  });
+  std::vector<std::size_t> first_member(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = order[i];
+    const bool same = i > 0 && key(order[i - 1]) == key(j);
+    first_member[j] = same ? first_member[order[i - 1]] : j;
+  }
+  JobClasses classes;
+  classes.of.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (first_member[j] == j) {
+      classes.of[j] = classes.leader.size();
+      classes.leader.push_back(included[j]);
+      classes.supply.push_back(0.0);
+    } else {
+      classes.of[j] = classes.of[first_member[j]];  // first_member[j] < j
+    }
+    classes.supply[classes.of[j]] += included[j]->size;
+  }
+  return classes;
+}
+
 /// Dyadic grid for quantized duals: multiples of 2^-24 keep every
 /// denominator a power of two small enough that the exact dual objective
 /// stays far from 128-bit overflow.
@@ -138,30 +189,35 @@ constexpr double kExactDiffMax = 0x1p28;
 /// from the potentials (zeroed on unsaturated slots per complementary
 /// slackness, then quantized to the dyadic grid); alpha_j is then set to the
 /// *exact* best response max(0, floor_grid(min_t (c_jt + beta_t))), which is
-/// feasible by construction.  An independent pass re-checks every dual
-/// constraint before the objective is trusted.  Weak duality then makes the
-/// returned value a machine-checked lower bound on the LP optimum.  Any
-/// overflow poisons the result and yields certified = false.  `costs` holds
-/// c_jt for every job->slot edge in build order (job-major, slots
-/// ascending): the very doubles MCMF solved with.
+/// feasible by construction.  Members of a job class share one cost row, so
+/// the best response and the re-check run once per class and every member
+/// takes the class's alpha; the objective sums Rational(p_j) * alpha over
+/// the member jobs, never the rounded double class supply.  An independent
+/// pass re-checks every dual constraint before the objective is trusted.
+/// Weak duality then makes the returned value a machine-checked lower bound
+/// on the per-job LP optimum.  Any overflow poisons the result and yields
+/// certified = false.  `costs` holds c_jt for every class->slot edge in
+/// build order (class-major, slots ascending): the very doubles MCMF solved
+/// with.
 ///
 /// Doubles only choose which arcs need Rational; every value that enters
 /// alpha, beta or the objective is exact, and the result has the same bits
 /// as evaluating every arc in Rational:
 ///  * best response: fl(c + beta) is correctly rounded, hence monotone, so
-///    every arc holding the exact minimum has the job's smallest double sum
+///    every arc holding the exact minimum has the class's smallest double sum
 ///    m, and only arcs with sum <= m need the exact minimum.  The filter
-///    applies to a job only when all its arcs are in the exact range, where
-///    an all-Rational scan has valid sums and exact comparisons, so skipping
-///    arcs cannot change its minimum; otherwise every arc of the job goes
-///    through Rational in order, overflows included;
-///  * re-check: an arc in the exact range with alpha_j, beta_t < 2^28 is
+///    applies to a class only when all its arcs are in the exact range,
+///    where an all-Rational scan has valid sums and exact comparisons, so
+///    skipping arcs cannot change its minimum; otherwise every arc of the
+///    class goes through Rational in order, overflows included;
+///  * re-check: an arc in the exact range with alpha, beta_t < 2^28 is
 ///    decided by `alpha - beta <= c` in doubles, any other arc in Rational.
 /// Counts "lpcert.flow.arcs" (arcs visited by both passes) and
 /// "lpcert.flow.exact_arcs" (the ones evaluated in Rational).
 CertifiedBound certify_flowtime_dual(
-    const std::vector<const Job*>& included, const Grid& g,
-    const FlowtimeLpOptions& options, const std::vector<double>& costs,
+    const std::vector<const Job*>& included, const JobClasses& classes,
+    const Grid& g, const FlowtimeLpOptions& options,
+    const std::vector<double>& costs,
     const MinCostFlow& mcf, std::size_t slot_node0, std::size_t sink_node,
     const std::vector<std::size_t>& slot_edge_handles) {
   const obs::ScopedTimer timer("lpsolve.certify");
@@ -189,18 +245,20 @@ CertifiedBound certify_flowtime_dual(
   std::size_t arcs = 0;
   std::size_t exact_arcs = 0;
 
-  // alpha_j = max(0, floor_grid(min_t (c_jt + beta_t))), computed exactly.
-  std::vector<Rational> alpha(included.size());
-  std::vector<double> alpha_d(included.size());
-  std::size_t job_arc0 = 0;  // index into `costs` of the job's first arc
-  for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const std::size_t first = g.first_slot_for(included[ji]->release);
-    const std::size_t job_arcs = g.slots - first;
-    const double* c = costs.data() + job_arc0;
-    // The job's smallest double sum m, or +inf (no arc skipped) when some
+  // alpha = max(0, floor_grid(min_t (c_t + beta_t))) per class, computed
+  // exactly.
+  const std::size_t num_classes = classes.leader.size();
+  std::vector<Rational> alpha(num_classes);
+  std::vector<double> alpha_d(num_classes);
+  std::size_t class_arc0 = 0;  // index into `costs` of the class's first arc
+  for (std::size_t ci = 0; ci < num_classes && ok; ++ci) {
+    const std::size_t first = g.first_slot_for(classes.leader[ci]->release);
+    const std::size_t class_arcs = g.slots - first;
+    const double* c = costs.data() + class_arc0;
+    // The class's smallest double sum m, or +inf (no arc skipped) when some
     // arc is outside the exact range.
     double keep_up_to = kInf;
-    for (std::size_t i = 0; i < job_arcs; ++i) {
+    for (std::size_t i = 0; i < class_arcs; ++i) {
       if (!in_exact_range(c[i]) || !(beta_d[first + i] < kExactMax)) {
         keep_up_to = kInf;
         break;
@@ -208,7 +266,7 @@ CertifiedBound certify_flowtime_dual(
       keep_up_to = std::min(keep_up_to, c[i] + beta_d[first + i]);
     }
     Rational best = Rational::invalid();
-    for (std::size_t i = 0; i < job_arcs; ++i) {
+    for (std::size_t i = 0; i < class_arcs; ++i) {
       ++arcs;
       if (c[i] + beta_d[first + i] > keep_up_to) continue;
       ++exact_arcs;
@@ -219,32 +277,32 @@ CertifiedBound certify_flowtime_dual(
       }
       if (!best.valid() || cand < best) best = cand;
     }
-    job_arc0 += job_arcs;
+    class_arc0 += class_arcs;
     if (!ok || !best.valid()) {
       ok = false;
       break;
     }
-    alpha[ji] = best.floor_to_dyadic(kDualGridBits);
-    if (alpha[ji].is_negative()) alpha[ji] = Rational();
-    if (!alpha[ji].valid()) ok = false;
-    alpha_d[ji] = exact_double(alpha[ji]);
+    alpha[ci] = best.floor_to_dyadic(kDualGridBits);
+    if (alpha[ci].is_negative()) alpha[ci] = Rational();
+    if (!alpha[ci].valid()) ok = false;
+    alpha_d[ci] = exact_double(alpha[ci]);
   }
 
   // Independent feasibility re-check of every dual constraint, so the
   // certificate does not depend on the construction above being right.
   std::size_t arc = 0;  // index into `costs`
-  for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const std::size_t first = g.first_slot_for(included[ji]->release);
+  for (std::size_t ci = 0; ci < num_classes && ok; ++ci) {
+    const std::size_t first = g.first_slot_for(classes.leader[ci]->release);
     for (std::size_t s = first; s < g.slots; ++s) {
       const double c = costs[arc++];
       ++arcs;
       bool feasible = false;
-      if (alpha_d[ji] < kExactDiffMax && beta_d[s] < kExactDiffMax &&
+      if (alpha_d[ci] < kExactDiffMax && beta_d[s] < kExactDiffMax &&
           in_exact_range(c)) {
-        feasible = alpha_d[ji] - beta_d[s] <= c;
+        feasible = alpha_d[ci] - beta_d[s] <= c;
       } else {
         ++exact_arcs;
-        feasible = alpha[ji] - beta[s] <= Rational::from_double(c);
+        feasible = alpha[ci] - beta[s] <= Rational::from_double(c);
       }
       if (!feasible) {  // the Rational test fails closed on invalid
         ok = false;
@@ -259,7 +317,8 @@ CertifiedBound certify_flowtime_dual(
   if (ok) {
     Rational dual_obj;
     for (std::size_t ji = 0; ji < included.size(); ++ji) {
-      dual_obj += Rational::from_double(included[ji]->size) * alpha[ji];
+      dual_obj +=
+          Rational::from_double(included[ji]->size) * alpha[classes.of[ji]];
     }
     const Rational cap = Rational::from_double(slot_cap);
     for (std::size_t s = 0; s < g.slots; ++s) {
@@ -318,10 +377,13 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
         "flowtime_lp: max_slots leaves insufficient capacity for the work");
   }
 
-  // Nodes: source | jobs (1..n) | slots (n+1 .. n+slots) | sink.
+  const JobClasses classes = group_identical_jobs(included);
+  const std::size_t num_classes = classes.leader.size();
+
+  // Nodes: source | classes (1..C) | slots (C+1 .. C+slots) | sink.
   const std::size_t kSource = 0;
-  const std::size_t kJob0 = 1;
-  const std::size_t kSlot0 = kJob0 + n;
+  const std::size_t kClass0 = 1;
+  const std::size_t kSlot0 = kClass0 + num_classes;
   const std::size_t kSink = kSlot0 + g.slots;
   MinCostFlow mcf(kSink + 1);
 
@@ -331,12 +393,12 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
     slot_edge[s] = mcf.add_edge(kSlot0 + s, kSink, slot_cap, 0.0);
   }
   std::size_t edges = g.slots;
-  // Job->slot unit costs in build order (job-major, slots ascending), which
-  // the certificate pass walks in the same order.
+  // Class->slot unit costs in build order (class-major, slots ascending),
+  // which the certificate pass walks in the same order.
   std::vector<double> costs;
-  for (const Job* jp : included) {
-    const Job& j = *jp;
-    mcf.add_edge(kSource, kJob0 + j.id, j.size, 0.0);
+  for (std::size_t ci = 0; ci < num_classes; ++ci) {
+    const Job& j = *classes.leader[ci];
+    mcf.add_edge(kSource, kClass0 + ci, classes.supply[ci], 0.0);
     ++edges;
     const std::size_t first = g.first_slot_for(j.release);
     const double size_pow = std::pow(j.size, options.k);
@@ -349,7 +411,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
       // (alpha_j - beta_t <= c_jt, tight on flow-carrying arcs) that
       // certify_flowtime_dual builds the exact certificate from.
       costs.push_back(unit_cost(j, g, s, options.k, size_pow));
-      mcf.add_edge(kJob0 + j.id, kSlot0 + s, included_work + 1.0,
+      mcf.add_edge(kClass0 + ci, kSlot0 + s, included_work + 1.0,
                    costs.back());
       ++edges;
     }
@@ -366,8 +428,10 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   out.slots = g.slots;
   out.edges = edges;
   out.skipped_jobs = n - included.size();
-  out.certificate = certify_flowtime_dual(included, g, options, costs, mcf,
-                                          kSlot0, kSink, slot_edge);
+  out.job_classes = num_classes;
+  obs::add("mcmf.job_classes", num_classes);
+  out.certificate = certify_flowtime_dual(included, classes, g, options, costs,
+                                          mcf, kSlot0, kSink, slot_edge);
   return out;
 }
 

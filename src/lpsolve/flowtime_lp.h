@@ -15,9 +15,25 @@
 // The LP is a transportation problem (jobs -> slots) solved exactly by
 // min-cost max-flow and certified by its repaired dual -- the one certified
 // path every caller (opt_bounds, the adversary search) uses.
-// build_flowtime_lp() exposes the same program for the dense simplex, which
-// serves only as a cross-check oracle (experiment T8, lp_fuzz, tests); its
-// callers include simplex.h themselves.
+//
+// The flow graph has one node per *class* of included jobs with
+// bitwise-equal (release, size), not one per job: batches, overload pulses
+// and search instances repeat the same job many times.  The class node
+// supplies its members' summed size through one row of class->slot arcs.
+// This is exact, not a relaxation: members have identical cost rows, so any
+// per-job solution sums to a class solution of the same cost, and a class's
+// flow split among its members in proportion to their sizes is a per-job
+// solution of the same cost -- the two optima are equal.  The certificate
+// gives every member its class's alpha (feasible on each member's arcs,
+// which are the class's) and sums the dual objective over the member jobs,
+// sum_j Rational(p_j) * alpha_class, so it remains an exact lower bound on
+// the per-job LP.  Classes are ordered by their lowest job id, between the
+// source and the slots, so a duplicate-free instance builds the per-job
+// graph edge for edge.
+// build_flowtime_lp() exposes the same program, one row per job, for the
+// dense simplex, which serves only as a cross-check oracle (experiment T8,
+// lp_fuzz, tests) -- so those checks compare the class graph against the
+// unaggregated LP.  Its callers include simplex.h themselves.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +65,9 @@ struct FlowtimeLpResult {
   std::size_t slots = 0;
   std::size_t edges = 0;
   std::size_t skipped_jobs = 0;  ///< jobs below kMinLpJobSize dropped
+  /// Flow-graph job nodes: classes of included jobs with bitwise-equal
+  /// (release, size).  Also counted as "mcmf.job_classes".
+  std::size_t job_classes = 0;
   /// Exact-rational certificate for `lp_value`: a dual-feasible solution of
   /// the transportation LP, repaired from the min-cost-flow potentials and
   /// verified in exact arithmetic.  When certified, `certificate.value` is a
@@ -77,10 +96,10 @@ inline constexpr std::size_t kAutoLpMaxSlots = kAutoLpSlots + 2;
 [[nodiscard]] FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
                                                  const FlowtimeLpOptions& options);
 
-/// Number of LP variables -- job->slot arcs of solve_flowtime_lp(), columns
-/// of build_flowtime_lp() -- (saturating at SIZE_MAX), computed from the grid
-/// without allocating any of them, so callers can refuse an oversized LP up
-/// front.  Throws what both builders throw for a grid they cannot build.
+/// Number of per-job LP variables -- columns of build_flowtime_lp(), and at
+/// least the class->slot arcs of solve_flowtime_lp() -- (saturating at
+/// SIZE_MAX), computed from the grid without allocating any of them, so
+/// callers can refuse an oversized LP up front.  Throws what both builders throw for a grid they cannot build.
 [[nodiscard]] std::size_t flowtime_lp_num_vars(
     const Instance& instance, const FlowtimeLpOptions& options);
 
@@ -90,9 +109,9 @@ inline constexpr std::size_t kAutoLpMaxSlots = kAutoLpSlots + 2;
 [[nodiscard]] std::size_t flowtime_lp_num_slots(
     const Instance& instance, const FlowtimeLpOptions& options);
 
-/// Builds the identical LP as a dense LinearProgram (variables x_{jt} in
-/// job-major order, only t >= r_j slots materialized) for the simplex
-/// cross-check.  Only sensible for tiny instances.
+/// Builds the same LP, one demand row per job, as a dense LinearProgram
+/// (variables x_{jt} in job-major order, only t >= r_j slots materialized)
+/// for the simplex cross-check.  Only sensible for tiny instances.
 [[nodiscard]] LinearProgram build_flowtime_lp(const Instance& instance,
                                               const FlowtimeLpOptions& options);
 

@@ -141,6 +141,9 @@ LpFuzzReport run_lp_fuzz(const LpFuzzOptions& options) {
       const LinearProgram lp = build_flowtime_lp(inst, fopts);
       const LpSolution sx = solve_lp(lp);
       ++rep.flow_cases;
+      if (mcmf.job_classes + mcmf.skipped_jobs < inst.n()) {
+        ++rep.flow_merged_cases;
+      }
 
       if (sx.status != SolveStatus::kOptimal) {
         std::ostringstream os;

@@ -46,6 +46,9 @@ struct LpFuzzReport {
   std::size_t certified = 0;      ///< exact certificates issued
   std::size_t warm_starts = 0;    ///< exact solves that reused the float basis
   std::size_t flow_cases = 0;     ///< flow-time differential cases run
+  /// Flow cases whose instance repeated a (release, size) pair, so the MCMF
+  /// graph merged jobs into one class node and the dense per-job LP did not.
+  std::size_t flow_merged_cases = 0;
   std::vector<LpFuzzDisagreement> disagreements;
 
   [[nodiscard]] bool ok() const noexcept { return disagreements.empty(); }

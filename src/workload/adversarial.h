@@ -33,7 +33,7 @@
 namespace tempofair::workload {
 
 /// Batch of `batch` unit jobs at time 0, then `stream` unit jobs arriving
-/// every `gap` time units starting at time 0 (gap slightly above 1 keeps
+/// every `gap` time units, the first at time `gap` (gap slightly above 1 keeps
 /// a speed-1 machine barely able to serve the stream alone).
 [[nodiscard]] Instance batch_plus_stream(std::size_t batch, std::size_t stream,
                                          double gap, double job_size = 1.0);

@@ -3,7 +3,8 @@
 // LP_FUZZ_BIN):
 //
 //  * tempofair_bench --filter with an unknown id must hard-error (exit 2)
-//    and list every valid id, instead of silently running nothing.
+//    and list every valid id, instead of silently running nothing; --eps
+//    must reach the experiment undigested, as its artifact records it.
 //  * perf_gate must exit 1 when a case regresses past --fail-ratio, exit 0
 //    within tolerance, and exit 2 on unusable input -- the contract the CI
 //    perf-smoke step relies on.
@@ -89,6 +90,26 @@ TEST(TempofairBenchCli, UnknownIdAmongValidOnesStillFails) {
       std::string(TEMPOFAIR_BENCH_BIN) + " --filter t1,bogus --no-artifacts");
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("'bogus'"), std::string::npos);
+}
+
+TEST(TempofairBenchCli, EpsReachesTheExperimentAtFullPrecision) {
+  // Ten significant digits: a default-precision stream would forward
+  // 0.0512346 and T4 would run at that eps instead.
+  const std::string dir = temp_path("tempofair_bench_eps");
+  const CommandResult result = run_command(
+      std::string(TEMPOFAIR_BENCH_BIN) +
+      " --filter t4 --smoke --quiet --jobs 1 --eps 0.0512345678 --out-dir " +
+      dir);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  std::ifstream file(dir + "/t4.json");
+  ASSERT_TRUE(file.is_open()) << "missing artifact " << dir << "/t4.json";
+  const std::string json((std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"eps\": \"0.0512345678\""), std::string::npos)
+      << json;
+  std::remove((dir + "/t4.json").c_str());
+  std::remove((dir + "/suite.json").c_str());
+  std::remove(dir.c_str());
 }
 
 TEST(TempofairBenchCli, ListExitsZero) {

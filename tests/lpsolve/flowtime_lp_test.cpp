@@ -6,18 +6,22 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "lpsolve/certify.h"
 #include "lpsolve/mincost_flow.h"
 #include "lpsolve/rational.h"
 #include "lpsolve/simplex.h"
 #include "obs/obs.h"
 #include "policies/priority_policies.h"
+#include "workload/adversarial.h"
 #include "workload/generators.h"
 
 namespace tempofair::lpsolve {
@@ -262,11 +266,74 @@ TEST(FlowtimeLp, LateReleaseShiftsCosts) {
               solve_flowtime_lp(late, opt).lp_value, 1e-9);
 }
 
+TEST(FlowtimeLp, IdenticalJobsShareOneNode) {
+  // Batch shapes repeat (release, size) pairs: the flow graph gets one node
+  // per distinct pair, and its certified bound still sits just below the
+  // exact optimum of the per-job LP that build_flowtime_lp spells out.
+  struct Family {
+    const char* name;
+    Instance instance;
+    std::size_t distinct_pairs;
+  };
+  for (const int m : {1, 2}) {
+    const Family families[] = {
+        // Level l releases 2^l jobs of size 2^-l at l * 1.05.
+        {"geometric_levels(5)", workload::geometric_levels(5), 5},
+        // Three bursts of four unit jobs, one release time per burst.
+        {"overload_pulse(3,4)", workload::overload_pulse(3, 4, m), 3},
+        // Six unit jobs at t=0, then one unit job at each of 1.05, 2.1, ...
+        {"batch_plus_stream(6,10)", workload::batch_plus_stream(6, 10, 1.05),
+         11},
+    };
+    for (const Family& f : families) {
+      for (const double k : {1.0, 2.0, 3.0}) {
+        FlowtimeLpOptions opt;
+        opt.k = k;
+        opt.machines = m;
+        opt.slot = 1.0;
+        const std::string what = std::string(f.name) + " m=" +
+                                 std::to_string(m) + " k=" + std::to_string(k);
+        obs::Sink counters;
+        FlowtimeLpResult r;
+        {
+          const obs::ScopedSink scope(&counters);
+          r = solve_flowtime_lp(f.instance, opt);
+        }
+        EXPECT_EQ(r.job_classes, f.distinct_pairs) << what;
+        EXPECT_EQ(counters.value("mcmf.job_classes"), f.distinct_pairs)
+            << what;
+        ASSERT_TRUE(r.certificate.certified) << what;
+
+        const LinearProgram lp = build_flowtime_lp(f.instance, opt);
+        const LpSolution warm = solve_lp(lp);
+        const CertifyResult exact = solve_lp_exact(lp, &warm);
+        ASSERT_EQ(exact.exact_status, SolveStatus::kOptimal) << what;
+        const double d = exact.exact_objective.to_double();
+        EXPECT_LE(r.certificate.value, exact.exact_objective.upper_double())
+            << what;
+        EXPECT_GE(r.certificate.value, (1.0 - 1e-7) * d) << what;
+        EXPECT_NEAR(r.lp_value, d, 1e-9 * d) << what;
+      }
+    }
+  }
+
+  // Distinct pairs -- shared releases, shared sizes, and a job below
+  // kMinLpJobSize that stays out of the LP -- keep one node per job.
+  const std::vector<std::pair<Time, Work>> distinct{
+      {0.0, 1.0}, {0.0, 2.0}, {1.0, 1.0}, {1.0, 1e-13}, {1.5, 2.0}};
+  const FlowtimeLpResult r =
+      solve_flowtime_lp(Instance::from_pairs(distinct), FlowtimeLpOptions{});
+  EXPECT_EQ(r.skipped_jobs, 1u);
+  EXPECT_EQ(r.job_classes, 4u);
+}
+
 // --- Reference certificate ---------------------------------------------------
 //
-// The certificate as it was before the double filter: every job->slot arc
+// The certificate as it was before the double filter: every class->slot arc
 // evaluated in Rational, in the best response and in the re-check.  It is fed
-// the same graph solve_flowtime_lp builds, so both see the same MCMF solve.
+// the same graph solve_flowtime_lp builds -- one node per class of jobs with
+// bitwise-equal (release, size), grouped here with a map rather than the
+// product's index sort -- so both see the same MCMF solve.
 namespace reference {
 
 struct Grid {
@@ -301,9 +368,34 @@ double unit_cost(const Job& j, const Grid& g, std::size_t s, double k) {
 
 constexpr unsigned kDualGridBits = 24;
 
+struct Classes {
+  std::vector<const Job*> leader;  // lowest-id member per class
+  std::vector<double> supply;      // members' sizes summed in id order
+  std::vector<std::size_t> of;     // class of each included job
+};
+
+Classes group(const std::vector<const Job*>& included) {
+  Classes c;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> index;
+  for (const Job* j : included) {
+    const auto [it, added] = index.emplace(
+        std::pair{std::bit_cast<std::uint64_t>(j->release),
+                  std::bit_cast<std::uint64_t>(j->size)},
+        c.leader.size());
+    if (added) {
+      c.leader.push_back(j);
+      c.supply.push_back(0.0);
+    }
+    c.of.push_back(it->second);
+    c.supply[it->second] += j->size;
+  }
+  return c;
+}
+
 CertifiedBound certify_flowtime_dual(
-    const std::vector<const Job*>& included, const Grid& g,
-    const FlowtimeLpOptions& options, const std::vector<double>& costs,
+    const std::vector<const Job*>& included, const Classes& classes,
+    const Grid& g, const FlowtimeLpOptions& options,
+    const std::vector<double>& costs,
     const MinCostFlow& mcf, std::size_t slot_node0, std::size_t sink_node,
     const std::vector<std::size_t>& slot_edge_handles) {
   const double slot_cap = g.slot * options.machines;
@@ -321,10 +413,10 @@ CertifiedBound certify_flowtime_dual(
     if (!beta[s].valid()) ok = false;
   }
 
-  std::vector<Rational> alpha(included.size());
+  std::vector<Rational> alpha(classes.leader.size());
   std::size_t arc = 0;
-  for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const std::size_t first = g.first_slot_for(included[ji]->release);
+  for (std::size_t ci = 0; ci < classes.leader.size() && ok; ++ci) {
+    const std::size_t first = g.first_slot_for(classes.leader[ci]->release);
     Rational best = Rational::invalid();
     for (std::size_t s = first; s < g.slots; ++s) {
       const Rational cand = Rational::from_double(costs[arc++]) + beta[s];
@@ -338,17 +430,17 @@ CertifiedBound certify_flowtime_dual(
       ok = false;
       break;
     }
-    alpha[ji] = best.floor_to_dyadic(kDualGridBits);
-    if (alpha[ji].is_negative()) alpha[ji] = Rational();
-    if (!alpha[ji].valid()) ok = false;
+    alpha[ci] = best.floor_to_dyadic(kDualGridBits);
+    if (alpha[ci].is_negative()) alpha[ci] = Rational();
+    if (!alpha[ci].valid()) ok = false;
   }
 
   arc = 0;
-  for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const std::size_t first = g.first_slot_for(included[ji]->release);
+  for (std::size_t ci = 0; ci < classes.leader.size() && ok; ++ci) {
+    const std::size_t first = g.first_slot_for(classes.leader[ci]->release);
     for (std::size_t s = first; s < g.slots; ++s) {
       const Rational c = Rational::from_double(costs[arc++]);
-      if (!(alpha[ji] - beta[s] <= c)) {
+      if (!(alpha[ci] - beta[s] <= c)) {
         ok = false;
         break;
       }
@@ -359,7 +451,8 @@ CertifiedBound certify_flowtime_dual(
   if (ok) {
     Rational dual_obj;
     for (std::size_t ji = 0; ji < included.size(); ++ji) {
-      dual_obj += Rational::from_double(included[ji]->size) * alpha[ji];
+      dual_obj +=
+          Rational::from_double(included[ji]->size) * alpha[classes.of[ji]];
     }
     const Rational cap = Rational::from_double(slot_cap);
     for (std::size_t s = 0; s < g.slots; ++s) {
@@ -381,7 +474,6 @@ struct Solved {
 /// solve_flowtime_lp's graph and MCMF solve, certified by the copy above.
 Solved solve(const Instance& instance, const FlowtimeLpOptions& options) {
   const Grid g = make_grid(instance, options);
-  const std::size_t n = instance.n();
   std::vector<const Job*> included;
   double included_work = 0.0;
   for (const Job& j : instance.jobs()) {
@@ -390,9 +482,10 @@ Solved solve(const Instance& instance, const FlowtimeLpOptions& options) {
       included_work += j.size;
     }
   }
+  const Classes classes = group(included);
   const std::size_t kSource = 0;
-  const std::size_t kJob0 = 1;
-  const std::size_t kSlot0 = kJob0 + n;
+  const std::size_t kClass0 = 1;
+  const std::size_t kSlot0 = kClass0 + classes.leader.size();
   const std::size_t kSink = kSlot0 + g.slots;
   MinCostFlow mcf(kSink + 1);
   const double slot_cap = g.slot * options.machines;
@@ -401,18 +494,19 @@ Solved solve(const Instance& instance, const FlowtimeLpOptions& options) {
     slot_edge[s] = mcf.add_edge(kSlot0 + s, kSink, slot_cap, 0.0);
   }
   std::vector<double> costs;
-  for (const Job* jp : included) {
-    mcf.add_edge(kSource, kJob0 + jp->id, jp->size, 0.0);
-    for (std::size_t s = g.first_slot_for(jp->release); s < g.slots; ++s) {
-      costs.push_back(unit_cost(*jp, g, s, options.k));
-      mcf.add_edge(kJob0 + jp->id, kSlot0 + s, included_work + 1.0,
+  for (std::size_t ci = 0; ci < classes.leader.size(); ++ci) {
+    const Job& j = *classes.leader[ci];
+    mcf.add_edge(kSource, kClass0 + ci, classes.supply[ci], 0.0);
+    for (std::size_t s = g.first_slot_for(j.release); s < g.slots; ++s) {
+      costs.push_back(unit_cost(j, g, s, options.k));
+      mcf.add_edge(kClass0 + ci, kSlot0 + s, included_work + 1.0,
                    costs.back());
     }
   }
   Solved out;
   out.lp_value = mcf.solve(kSource, kSink, included_work).cost;
-  out.certificate = certify_flowtime_dual(included, g, options, costs, mcf,
-                                          kSlot0, kSink, slot_edge);
+  out.certificate = certify_flowtime_dual(included, classes, g, options, costs,
+                                          mcf, kSlot0, kSink, slot_edge);
   return out;
 }
 
@@ -474,7 +568,7 @@ TEST(FlowtimeLp, CertificateMatchesExactReference) {
                 f.instance, opt,
                 describe(f.name, opt) + " n=" + std::to_string(n));
             // These costs and prices are all in the exact range: the filter
-            // leaves about one arc per job to Rational.
+            // leaves about one arc per job class to Rational.
             EXPECT_TRUE(c.certified) << describe(f.name, opt);
             EXPECT_LE(c.exact_arcs, c.arcs / 20) << describe(f.name, opt);
           }

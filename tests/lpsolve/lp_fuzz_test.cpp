@@ -17,6 +17,9 @@ TEST(LpFuzz, NoDisagreementsOnDefaultSeed) {
   EXPECT_GT(rep.optimal, 0u);
   EXPECT_GT(rep.certified, 0u);
   EXPECT_GT(rep.flow_cases, 0u);
+  // Some flow cases repeat a job, so the class graph is checked against the
+  // per-job LP.
+  EXPECT_GT(rep.flow_merged_cases, 0u);
   // Every float basis that certifies is installed exactly, with no cold
   // two-phase fallback.
   EXPECT_EQ(rep.warm_starts, rep.certified);
@@ -34,6 +37,7 @@ TEST(LpFuzz, DeterministicForFixedSeed) {
   EXPECT_EQ(a.iter_limit, b.iter_limit);
   EXPECT_EQ(a.certified, b.certified);
   EXPECT_EQ(a.warm_starts, b.warm_starts);
+  EXPECT_EQ(a.flow_merged_cases, b.flow_merged_cases);
   EXPECT_EQ(a.disagreements.size(), b.disagreements.size());
 }
 

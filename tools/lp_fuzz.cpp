@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
             << " certified=" << rep.certified
             << " warm_starts=" << rep.warm_starts
             << " flow_cases=" << rep.flow_cases
+            << " flow_merged_cases=" << rep.flow_merged_cases
             << " disagreements=" << rep.disagreements.size() << "\n";
   for (const auto& d : rep.disagreements) {
     std::cout << "  case " << d.case_index << ": " << d.what << "\n";
@@ -99,6 +100,7 @@ int main(int argc, char** argv) {
         << "  \"certified\": " << rep.certified << ",\n"
         << "  \"warm_starts\": " << rep.warm_starts << ",\n"
         << "  \"flow_cases\": " << rep.flow_cases << ",\n"
+        << "  \"flow_merged_cases\": " << rep.flow_merged_cases << ",\n"
         << "  \"disagreements\": [";
     bool first = true;
     for (const auto& d : rep.disagreements) {

@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -123,9 +122,7 @@ int main(int argc, char** argv) {
     }
   }
   if (parsed.given("eps")) {
-    std::ostringstream text;
-    text << parsed.get_double("eps");
-    overrides["eps"] = text.str();
+    overrides["eps"] = harness::detail::format_double(parsed.get_double("eps"));
   }
   for (const char* name : {"trace", "workload", "grid-out"}) {
     if (parsed.given(name)) overrides[name] = parsed.get_string(name);
