@@ -460,6 +460,49 @@ Report run_fastpath_cases(const CaseOptions& options) {
     report.cases.push_back(std::move(c));
   }
 
+  // --- Small runs: the fixed per-call cost the adversary search pays -------
+  // The search's inner loop is hundreds of run() calls and screens on
+  // instances of a few jobs, so what one call costs beyond its jobs --
+  // result packaging, counters, timers, the invariant battery -- sets its
+  // speed.  run_small_6 times run() of the 6-job batch+stream seed under
+  // rr, srpt and sjf; search_screen_6 times one search screen on it (the
+  // SRPT/SJF proxy runs, the certified trivial bound and the RR run).  Each
+  // body makes kSmallRounds rounds, so the per-call time is median_s
+  // divided by the call count in the stats.
+  {
+    constexpr std::size_t kSmallRounds = 200;
+    search::SearchOptions so;
+    so.k = 2.0;
+    so.max_jobs = 6;
+    const Instance inst = search::seed_instances(so).front().second;
+    double total_flow = 0.0;
+    RunRequest req;
+    req.record_trace = false;
+    CaseResult runs = measure("run_small_6" + suffix, repeats, [&] {
+      for (std::size_t r = 0; r < kSmallRounds; ++r) {
+        for (const char* policy : {"rr", "srpt", "sjf"}) {
+          req.policy = policy;
+          total_flow += tempofair::run(inst, req).stats.l1;
+        }
+      }
+    });
+    runs.stats["jobs"] = static_cast<double>(inst.n());
+    runs.stats["runs_per_body"] = static_cast<double>(3 * kSmallRounds);
+    runs.stats["flow_total"] = total_flow;
+    report.cases.push_back(std::move(runs));
+
+    double screened = 0.0;
+    CaseResult screen = measure("search_screen_6" + suffix, repeats, [&] {
+      for (std::size_t r = 0; r < kSmallRounds; ++r) {
+        screened = search::screen_ratio(inst, so);
+      }
+    });
+    screen.stats["jobs"] = static_cast<double>(inst.n());
+    screen.stats["screens_per_body"] = static_cast<double>(kSmallRounds);
+    screen.stats["screen_ratio"] = screened;
+    report.cases.push_back(std::move(screen));
+  }
+
   return report;
 }
 

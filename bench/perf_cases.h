@@ -6,7 +6,9 @@
 // generation, because "million jobs end to end without materializing the
 // instance" is exactly the claim being measured).  Event-loop/fast-path
 // pairs run on the identical instance so the derived
-// `speedup_vs_event_loop` stat is apples to apples.  Four cases leave the
+// `speedup_vs_event_loop` stat is apples to apples.  run_small_6 and
+// search_screen_6 time batches of 6-job runs and search screens, where the
+// fixed per-call cost, not the jobs, sets the time.  Four cases leave the
 // engine: flow_stats_* times the metrics summary of a finished run,
 // opt_bounds_lp_* times the OPT bracket with its LP lower bound on two
 // fixed T2 families (a Poisson stream and the batch-shaped adv-geometric),

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -401,25 +402,66 @@ bool EngineCore::takes_fast_path(const Policy& policy,
   return options.use_fast_path && policy.fast_forward().enabled();
 }
 
+namespace {
+
+/// A run of more jobs than this drops the thread's EngineCore afterwards, so
+/// the buffers a large run grew are not kept for the small runs after it.
+constexpr std::size_t kRetainedCoreJobs = 1024;
+
+/// The calling thread's EngineCore, reused by the run() facades so that a
+/// stream of small runs does not rebuild the core's buffers every call.
+struct ThreadCore {
+  std::optional<EngineCore> core;
+  /// Set while a facade run is on this thread's core; a run() re-entered
+  /// from inside it (a policy or stream callback) gets a core of its own.
+  bool busy = false;
+};
+
+thread_local ThreadCore tl_core;
+
+template <typename RunOn>
+RunResult run_on_thread_core(RunOn&& run_on) {
+  if (tl_core.busy) {
+    EngineCore core;
+    return run_on(core);
+  }
+  if (!tl_core.core) tl_core.core.emplace();
+  tl_core.busy = true;
+  // Clears the flag however the run ends; a run that throws leaves no state
+  // behind, since its core is dropped with it.
+  struct Release {
+    bool keep = false;
+    ~Release() {
+      tl_core.busy = false;
+      if (!keep) tl_core.core.reset();
+    }
+  } release;
+  RunResult result = run_on(*tl_core.core);
+  release.keep = result.schedule.n() <= kRetainedCoreJobs;
+  return result;
+}
+
+}  // namespace
+
 RunResult run(const Instance& instance, const RunRequest& request) {
-  EngineCore core;
-  return core.run(instance, request);
+  return run_on_thread_core(
+      [&](EngineCore& core) { return core.run(instance, request); });
 }
 
 RunResult run(JobStream& stream, const RunRequest& request) {
-  EngineCore core;
-  return core.run(stream, request);
+  return run_on_thread_core(
+      [&](EngineCore& core) { return core.run(stream, request); });
 }
 
 RunResult run(const Instance& instance, Policy& policy,
               const RunRequest& request) {
-  EngineCore core;
-  return core.run(instance, policy, request);
+  return run_on_thread_core(
+      [&](EngineCore& core) { return core.run(instance, policy, request); });
 }
 
 RunResult run(JobStream& stream, Policy& policy, const RunRequest& request) {
-  EngineCore core;
-  return core.run(stream, policy, request);
+  return run_on_thread_core(
+      [&](EngineCore& core) { return core.run(stream, policy, request); });
 }
 
 }  // namespace tempofair

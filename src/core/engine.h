@@ -286,8 +286,13 @@ class EngineCore {
   InvariantSet inv_;
 };
 
-/// Runs `request` on `instance` with a fresh EngineCore.  The single entry
-/// point shared by the CLI tools and the bench registry.
+/// Runs `request` on `instance`.  The single entry point shared by the CLI
+/// tools and the bench registry.  The four facades below reuse one
+/// EngineCore per thread, so back-to-back small runs skip rebuilding its
+/// buffers; results are bit-identical to a fresh EngineCore's.  A run of
+/// more than 1024 jobs, or one that throws, drops the thread's core
+/// afterwards, and a facade re-entered from inside a run (a policy or
+/// stream callback) runs on a core of its own.
 [[nodiscard]] RunResult run(const Instance& instance,
                             const RunRequest& request = {});
 

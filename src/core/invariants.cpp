@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -29,8 +28,10 @@ namespace {
 /// (the paper's feasibility condition, per job).
 class RateBoundsCheck final : public InvariantCheck {
  public:
-  explicit RateBoundsCheck(const InvariantRunProfile& p)
-      : speed_(p.speed), tol_(rate_tolerance(p)) {}
+  void configure(const InvariantRunProfile& p) {
+    speed_ = p.speed;
+    tol_ = rate_tolerance(p);
+  }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "rate_bounds";
   }
@@ -53,16 +54,17 @@ class RateBoundsCheck final : public InvariantCheck {
              e.begin, job);
     }
   }
-  double speed_;
-  double tol_;
+  double speed_ = 1.0;
+  double tol_ = 0.0;
 };
 
 /// sum of rates <= s*m (the paper's aggregate feasibility condition).
 class CapacityCheck final : public InvariantCheck {
  public:
-  explicit CapacityCheck(const InvariantRunProfile& p)
-      : cap_(p.speed * static_cast<double>(p.machines)),
-        tol_(rate_tolerance(p)) {}
+  void configure(const InvariantRunProfile& p) {
+    cap_ = p.speed * static_cast<double>(p.machines);
+    tol_ = rate_tolerance(p);
+  }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "capacity";
   }
@@ -81,16 +83,19 @@ class CapacityCheck final : public InvariantCheck {
   }
 
  private:
-  double cap_;
-  double tol_;
+  double cap_ = 1.0;
+  double tol_ = 0.0;
 };
 
 /// sum of rates >= s*min(n, m) while jobs are alive; gated on the policy's
 /// work_conserving trait (LAPS and costly-switch quantum-RR idle by design).
 class WorkConservationCheck final : public InvariantCheck {
  public:
-  explicit WorkConservationCheck(const InvariantRunProfile& p)
-      : machines_(p.machines), speed_(p.speed), tol_(rate_tolerance(p)) {}
+  void configure(const InvariantRunProfile& p) {
+    machines_ = p.machines;
+    speed_ = p.speed;
+    tol_ = rate_tolerance(p);
+  }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "work_conservation";
   }
@@ -114,9 +119,9 @@ class WorkConservationCheck final : public InvariantCheck {
   }
 
  private:
-  int machines_;
-  double speed_;
-  double tol_;
+  int machines_ = 1;
+  double speed_ = 1.0;
+  double tol_ = 0.0;
 };
 
 /// Remaining work stays in [0, size] and cannot go negative within the
@@ -127,7 +132,7 @@ class WorkConservationCheck final : public InvariantCheck {
 /// offline exhaustive replay).
 class MonotoneRemainingCheck final : public InvariantCheck {
  public:
-  explicit MonotoneRemainingCheck(const InvariantRunProfile&) {}
+  void configure(const InvariantRunProfile&) {}
   [[nodiscard]] std::string_view name() const noexcept override {
     return "monotone_remaining";
   }
@@ -182,8 +187,7 @@ class MonotoneRemainingCheck final : public InvariantCheck {
 /// (lost work).
 class CompletionConsistencyCheck final : public InvariantCheck {
  public:
-  explicit CompletionConsistencyCheck(const InvariantRunProfile& p)
-      : speed_(p.speed) {}
+  void configure(const InvariantRunProfile& p) { speed_ = p.speed; }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "completion_consistency";
   }
@@ -224,14 +228,14 @@ class CompletionConsistencyCheck final : public InvariantCheck {
   }
 
  private:
-  double speed_;
+  double speed_ = 1.0;
 };
 
 /// Every alive job makes progress in every epoch -- the no-starvation
 /// witness the RR family advertises via the shares_all_alive trait.
 class NoStarvationCheck final : public InvariantCheck {
  public:
-  explicit NoStarvationCheck(const InvariantRunProfile&) {}
+  void configure(const InvariantRunProfile&) {}
   [[nodiscard]] std::string_view name() const noexcept override {
     return "no_starvation";
   }
@@ -256,8 +260,11 @@ class NoStarvationCheck final : public InvariantCheck {
 /// temporal-fairness witness (equal_share trait).
 class TemporalFairnessCheck final : public InvariantCheck {
  public:
-  explicit TemporalFairnessCheck(const InvariantRunProfile& p)
-      : machines_(p.machines), speed_(p.speed), tol_(rate_tolerance(p)) {}
+  void configure(const InvariantRunProfile& p) {
+    machines_ = p.machines;
+    speed_ = p.speed;
+    tol_ = rate_tolerance(p);
+  }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "temporal_fairness";
   }
@@ -285,9 +292,9 @@ class TemporalFairnessCheck final : public InvariantCheck {
              e.begin, job);
     }
   }
-  int machines_;
-  double speed_;
-  double tol_;
+  int machines_ = 1;
+  double speed_ = 1.0;
+  double tol_ = 0.0;
 };
 
 /// attained + remaining == size for every alive job -- the accounting
@@ -299,7 +306,7 @@ class TemporalFairnessCheck final : public InvariantCheck {
 /// one rounding error per epoch over the whole run.
 class AttainedAccountingCheck final : public InvariantCheck {
  public:
-  explicit AttainedAccountingCheck(const InvariantRunProfile&) {}
+  void configure(const InvariantRunProfile&) {}
   [[nodiscard]] std::string_view name() const noexcept override {
     return "attained_accounting";
   }
@@ -414,86 +421,35 @@ void throw_if_violated(const InvariantStats& stats,
                            std::string(policy_name) + ": " + summarize(stats));
 }
 
-// --- registry ---------------------------------------------------------------
+// --- the fixed battery ------------------------------------------------------
 
-struct InvariantRegistry::Impl {
-  mutable std::mutex mutex;
-  std::vector<std::pair<std::string, InvariantCheckFactory>> entries;
+/// The built-in checkers, one of each, reconfigured for every run.  The
+/// order here is the order they run and report in.
+struct InvariantSet::Battery {
+  RateBoundsCheck rate_bounds;
+  CapacityCheck capacity;
+  WorkConservationCheck work_conservation;
+  MonotoneRemainingCheck monotone_remaining;
+  CompletionConsistencyCheck completion_consistency;
+  NoStarvationCheck no_starvation;
+  AttainedAccountingCheck attained_accounting;
+  TemporalFairnessCheck temporal_fairness;
 };
 
-InvariantRegistry::InvariantRegistry() : impl_(std::make_unique<Impl>()) {
-  auto always = [](auto maker) {
-    return [maker](const InvariantRunProfile& p)
-               -> std::unique_ptr<InvariantCheck> { return maker(p); };
-  };
-  impl_->entries.emplace_back(
-      "rate_bounds", always([](const InvariantRunProfile& p) {
-        return std::make_unique<RateBoundsCheck>(p);
-      }));
-  impl_->entries.emplace_back(
-      "capacity", always([](const InvariantRunProfile& p) {
-        return std::make_unique<CapacityCheck>(p);
-      }));
-  impl_->entries.emplace_back(
-      "work_conservation",
-      [](const InvariantRunProfile& p) -> std::unique_ptr<InvariantCheck> {
-        if (!p.traits.work_conserving) return nullptr;
-        return std::make_unique<WorkConservationCheck>(p);
-      });
-  impl_->entries.emplace_back(
-      "monotone_remaining", always([](const InvariantRunProfile& p) {
-        return std::make_unique<MonotoneRemainingCheck>(p);
-      }));
-  impl_->entries.emplace_back(
-      "completion_consistency", always([](const InvariantRunProfile& p) {
-        return std::make_unique<CompletionConsistencyCheck>(p);
-      }));
-  impl_->entries.emplace_back(
-      "no_starvation",
-      [](const InvariantRunProfile& p) -> std::unique_ptr<InvariantCheck> {
-        if (!p.traits.shares_all_alive) return nullptr;
-        return std::make_unique<NoStarvationCheck>(p);
-      });
-  impl_->entries.emplace_back(
-      "attained_accounting", always([](const InvariantRunProfile& p) {
-        return std::make_unique<AttainedAccountingCheck>(p);
-      }));
-  impl_->entries.emplace_back(
-      "temporal_fairness",
-      [](const InvariantRunProfile& p) -> std::unique_ptr<InvariantCheck> {
-        if (!p.traits.equal_share) return nullptr;
-        return std::make_unique<TemporalFairnessCheck>(p);
-      });
+std::span<const std::string_view> InvariantSet::check_names() noexcept {
+  static constexpr std::string_view kNames[] = {
+      "rate_bounds",         "capacity",
+      "work_conservation",   "monotone_remaining",
+      "completion_consistency",
+      "no_starvation",       "attained_accounting",
+      "temporal_fairness"};
+  return kNames;
 }
 
-InvariantRegistry& InvariantRegistry::instance() {
-  static InvariantRegistry registry;
-  return registry;
-}
-
-void InvariantRegistry::add(std::string name, InvariantCheckFactory factory) {
-  const std::lock_guard lock(impl_->mutex);
-  impl_->entries.emplace_back(std::move(name), std::move(factory));
-}
-
-std::vector<std::unique_ptr<InvariantCheck>> InvariantRegistry::build(
-    const InvariantRunProfile& profile) const {
-  const std::lock_guard lock(impl_->mutex);
-  std::vector<std::unique_ptr<InvariantCheck>> checks;
-  checks.reserve(impl_->entries.size());
-  for (const auto& [name, factory] : impl_->entries) {
-    if (auto check = factory(profile)) checks.push_back(std::move(check));
-  }
-  return checks;
-}
-
-std::vector<std::string> InvariantRegistry::names() const {
-  const std::lock_guard lock(impl_->mutex);
-  std::vector<std::string> names;
-  names.reserve(impl_->entries.size());
-  for (const auto& [name, factory] : impl_->entries) names.push_back(name);
-  return names;
-}
+InvariantSet::InvariantSet() = default;
+InvariantSet::~InvariantSet() = default;
+InvariantSet::InvariantSet(InvariantSet&&) noexcept = default;
+InvariantSet& InvariantSet::operator=(InvariantSet&&) noexcept = default;
 
 // --- the per-run harness ----------------------------------------------------
 
@@ -521,13 +477,28 @@ void InvariantSet::begin_run(const InvariantRunProfile& profile,
   schedule_ = schedule;
   checks_.clear();
   if (mode == InvariantMode::kOff) return;
-  checks_ = InvariantRegistry::instance().build(profile);
-  for (const auto& check : checks_) check->set_ = this;
+  if (!battery_) battery_ = std::make_unique<Battery>();
+  Battery& b = *battery_;
+  const PolicyInvariantTraits& traits = profile.traits;
+  const auto use = [&](auto& check, bool applies) {
+    if (!applies) return;
+    check.configure(profile);
+    check.set_ = this;
+    checks_.push_back(&check);
+  };
+  use(b.rate_bounds, true);
+  use(b.capacity, true);
+  use(b.work_conservation, traits.work_conserving);
+  use(b.monotone_remaining, true);
+  use(b.completion_consistency, true);
+  use(b.no_starvation, traits.shares_all_alive);
+  use(b.attained_accounting, true);
+  use(b.temporal_fairness, traits.equal_share);
 }
 
 void InvariantSet::check_epoch(const InvariantEpoch& epoch) {
   ++stats_.epochs_checked;
-  for (const auto& check : checks_) {
+  for (InvariantCheck* check : checks_) {
     ++stats_.checks_run;
     check->on_epoch(epoch);
   }
@@ -539,7 +510,7 @@ void InvariantSet::finish(std::span<const Work> traced_done) {
   ctx.schedule = schedule_;
   ctx.traced_done = traced_done;
   ctx.trace_complete = !traced_done.empty();
-  for (const auto& check : checks_) {
+  for (InvariantCheck* check : checks_) {
     ++stats_.checks_run;
     check->finalize(ctx);
   }

@@ -1,5 +1,5 @@
 // Always-on schedule invariant layer, in the style of rippled's
-// InvariantCheck.cpp: a registry of compile-in checkers that verify the
+// InvariantCheck.cpp: a fixed battery of compiled-in checkers that verify the
 // structural properties every valid schedule must satisfy -- the very
 // properties the paper's guarantees rest on (Section 2's feasible-schedule
 // characterization) plus the no-starvation/temporal-fairness witness that
@@ -26,21 +26,17 @@
 // ("invariants.*"), so callers see corrupt-run signals per run without log
 // scraping.
 //
-// Registering a checker for a new policy or kernel:
-//
-//   InvariantRegistry::instance().add("my_check",
-//       [](const InvariantRunProfile& p) -> std::unique_ptr<InvariantCheck> {
-//         if (p.policy != "mypolicy") return nullptr;  // not applicable
-//         return std::make_unique<MyCheck>(p);
-//       });
-//
-// The factory runs once per engine run; returning nullptr opts out for
-// runs the check does not apply to.  See DESIGN.md section 8.
+// The battery is fixed: rate_bounds, capacity, work_conservation,
+// monotone_remaining, completion_consistency, no_starvation,
+// attained_accounting and temporal_fairness, in that order.  Each
+// InvariantSet holds one instance of each and reconfigures them from the
+// run's profile at begin_run; three are gated by policy traits.  Adding a
+// checker means adding it to InvariantSet::Battery in invariants.cpp.  See
+// DESIGN.md section 8.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -114,8 +110,8 @@ struct PolicyInvariantTraits {
   bool equal_share = false;
 };
 
-/// Everything a checker factory may condition on: the run constants, the
-/// resolved policy name, and the policy's declared traits.
+/// Everything a checker may condition on: the run constants, the resolved
+/// policy name, and the policy's declared traits.
 struct InvariantRunProfile {
   int machines = 1;
   double speed = 1.0;
@@ -169,8 +165,9 @@ struct InvariantFinalizeContext {
 class InvariantSet;
 
 /// Base class of one compiled-in checker.  Hooks are only invoked while a
-/// run is active; implementations report violations via report() and may
-/// keep per-run state (a fresh instance is built per run).
+/// run is active; implementations report violations via report().  One
+/// instance serves every run of its InvariantSet, reconfigured from the
+/// run's profile at begin_run.
 class InvariantCheck {
  public:
   virtual ~InvariantCheck() = default;
@@ -194,33 +191,6 @@ class InvariantCheck {
   InvariantSet* set_ = nullptr;
 };
 
-/// Factory: builds a checker for a run, or nullptr when not applicable.
-using InvariantCheckFactory = std::function<std::unique_ptr<InvariantCheck>(
-    const InvariantRunProfile& profile)>;
-
-/// Process-wide registry of checker factories.  The built-in battery
-/// (rate_bounds, capacity, work_conservation, monotone_remaining,
-/// completion_consistency, no_starvation, temporal_fairness) registers
-/// itself; policies/kernels add their own via add().  Thread-safe.
-class InvariantRegistry {
- public:
-  [[nodiscard]] static InvariantRegistry& instance();
-
-  /// Registers `factory` under `name`; later registrations run after the
-  /// built-ins, in registration order.
-  void add(std::string name, InvariantCheckFactory factory);
-  /// Instantiates every applicable checker for `profile`.
-  [[nodiscard]] std::vector<std::unique_ptr<InvariantCheck>> build(
-      const InvariantRunProfile& profile) const;
-  /// Registered checker names, registration order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  InvariantRegistry();
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// The per-run harness the engine (and the offline battery) drives.  Usage:
 ///
 ///   set.begin_run(profile, mode, period, &schedule);
@@ -230,7 +200,13 @@ class InvariantRegistry {
 /// Reusable across runs; not thread-safe.
 class InvariantSet {
  public:
-  InvariantSet() = default;
+  InvariantSet();
+  ~InvariantSet();
+  InvariantSet(InvariantSet&&) noexcept;
+  InvariantSet& operator=(InvariantSet&&) noexcept;
+
+  /// The built-in battery's checker names, in the order they run.
+  [[nodiscard]] static std::span<const std::string_view> check_names() noexcept;
 
   void begin_run(const InvariantRunProfile& profile, InvariantMode mode,
                  std::size_t sample_period, const Schedule* schedule);
@@ -282,7 +258,12 @@ class InvariantSet {
   void record(std::string_view check, std::string detail, Time time,
               JobId job);
 
-  std::vector<std::unique_ptr<InvariantCheck>> checks_;
+  /// The eight built-in checkers, built on the first begin_run that checks
+  /// and reconfigured by every later one.
+  struct Battery;
+  std::unique_ptr<Battery> battery_;
+  /// The battery's checkers that apply to this run, in battery order.
+  std::vector<InvariantCheck*> checks_;
   InvariantStats stats_;
   InvariantMode mode_ = InvariantMode::kOff;
   std::size_t period_ = 1;

@@ -77,7 +77,7 @@ FlowStats flow_stats_in_place(std::span<double> flows) {
 }  // namespace
 
 double lk_power_sum(std::span<const double> values, double k) {
-  if (k < 1.0) throw std::invalid_argument("lk_power_sum: k must be >= 1");
+  if (!(k >= 1.0)) throw std::invalid_argument("lk_power_sum: k must be >= 1");
   double vmax = 0.0;
   for (double v : values) {
     if (v < 0.0) throw std::invalid_argument("lk_power_sum: negative value");
@@ -93,7 +93,7 @@ double lk_power_sum(std::span<const double> values, double k) {
 }
 
 double lk_norm(std::span<const double> values, double k) {
-  if (k < 1.0) throw std::invalid_argument("lk_norm: k must be >= 1");
+  if (!(k >= 1.0)) throw std::invalid_argument("lk_norm: k must be >= 1");
   if (values.empty()) return 0.0;
   double vmax = 0.0;
   for (double v : values) {
@@ -116,7 +116,11 @@ double linf_norm(std::span<const double> values) {
 
 double percentile(std::span<const double> values, double p) {
   if (values.empty()) return 0.0;
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p outside [0,100]");
+  // The negated test also rejects NaN, which would reach percentile_rank's
+  // cast to size_t as undefined behaviour.
+  if (!(p >= 0.0 && p <= 100.0)) {
+    throw std::invalid_argument("percentile: p outside [0,100]");
+  }
   std::vector<double> scratch(values.begin(), values.end());
   std::size_t from = 0;
   return percentile_select(scratch, from, p);
@@ -138,7 +142,7 @@ FlowStats flow_stats(const Schedule& schedule) {
 // matches lk_power_sum / lk_norm over flows() exactly.
 
 double flow_lk_norm(const Schedule& schedule, double k) {
-  if (k < 1.0) throw std::invalid_argument("lk_norm: k must be >= 1");
+  if (!(k >= 1.0)) throw std::invalid_argument("lk_norm: k must be >= 1");
   const std::span<const Time> completion = schedule.completions();
   const std::span<const Time> release = schedule.releases();
   const std::size_t n = completion.size();
@@ -159,7 +163,7 @@ double flow_lk_norm(const Schedule& schedule, double k) {
 }
 
 double flow_lk_power(const Schedule& schedule, double k) {
-  if (k < 1.0) throw std::invalid_argument("lk_power_sum: k must be >= 1");
+  if (!(k >= 1.0)) throw std::invalid_argument("lk_power_sum: k must be >= 1");
   const std::span<const Time> completion = schedule.completions();
   const std::span<const Time> release = schedule.releases();
   double vmax = 0.0;
@@ -197,7 +201,7 @@ double weighted_support_max(std::span<const double> values,
 
 double weighted_lk_power(std::span<const double> values,
                          std::span<const double> weights, double k) {
-  if (k < 1.0) throw std::invalid_argument("weighted_lk_power: k must be >= 1");
+  if (!(k >= 1.0)) throw std::invalid_argument("weighted_lk_power: k must be >= 1");
   if (values.size() != weights.size()) {
     throw std::invalid_argument("weighted_lk_power: size mismatch");
   }
@@ -213,7 +217,7 @@ double weighted_lk_power(std::span<const double> values,
 
 double weighted_lk_norm(std::span<const double> values,
                         std::span<const double> weights, double k) {
-  if (k < 1.0) throw std::invalid_argument("weighted_lk_norm: k must be >= 1");
+  if (!(k >= 1.0)) throw std::invalid_argument("weighted_lk_norm: k must be >= 1");
   if (values.size() != weights.size()) {
     throw std::invalid_argument("weighted_lk_norm: size mismatch");
   }

@@ -107,11 +107,7 @@ void TraceArena::clear() noexcept {
   begin_.clear();
   end_.clear();
   job_off_.clear();
-  job_off_.reserve(1);
-  job_off_.push_back(0);
   rate_off_.clear();
-  rate_off_.reserve(1);
-  rate_off_.push_back(0);
   ids_.clear();
   rates_.clear();
   index_built_ = false;
@@ -131,8 +127,16 @@ void TraceArena::reserve(std::size_t intervals, std::size_t entries) {
 }
 
 // One check per row; only growth changes memory_bytes(), so the peak is
-// updated only when a column grew.
+// updated only when a column grew.  The first row of an empty arena also
+// writes the offset tables' leading 0, with the capacity of two slots that
+// one slot plus grow_for() would give.
 void TraceArena::make_room(std::size_t ids, std::size_t rates) {
+  if (job_off_.empty()) {
+    job_off_.reserve(2);
+    job_off_.push_back(0);
+    rate_off_.reserve(2);
+    rate_off_.push_back(0);
+  }
   if (!begin_.lacks_room(1) && !end_.lacks_room(1) &&
       !job_off_.lacks_room(1) && !rate_off_.lacks_room(1) &&
       !ids_.lacks_room(ids) && !rates_.lacks_room(rates)) {

@@ -22,8 +22,9 @@
 //   I1. Intervals are appended in nondecreasing time order and have
 //       end > begin (zero-length rows are the caller's job to drop).
 //   I2. job_offset_/rate_offset_ are CSR tables of size size()+1 with
-//       offset[0] == 0; interval i owns ids [job_offset_[i], job_offset_[i+1])
-//       and rates [rate_offset_[i], rate_offset_[i+1]).
+//       offset[0] == 0 (empty, not allocated, while size() == 0); interval
+//       i owns ids [job_offset_[i], job_offset_[i+1]) and rates
+//       [rate_offset_[i], rate_offset_[i+1]).
 //   I3. rate_offset_[i+1]-rate_offset_[i] is either the interval's alive
 //       count (per-job rates) or exactly 1 (uniform rate shared by all jobs
 //       of the interval).  The two coincide for single-job intervals.
@@ -227,7 +228,8 @@ class JobTraceView {
 /// The columnar trace store.  See the file comment for layout and invariants.
 class TraceArena {
  public:
-  TraceArena() { clear(); }
+  /// An empty arena allocates nothing until its first append or reserve.
+  TraceArena() noexcept = default;
 
   // --- mutation -------------------------------------------------------------
   void clear() noexcept;
@@ -362,7 +364,9 @@ class TraceArena {
       std::swap(cap_, o.cap_);
       return *this;
     }
-    ~Column() { free_block(data_, bytes(cap_)); }
+    ~Column() {
+      if (data_ != nullptr) free_block(data_, bytes(cap_));
+    }
 
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
     [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
@@ -420,8 +424,9 @@ class TraceArena {
 
   Column<Time> begin_;
   Column<Time> end_;
-  Column<std::uint64_t> job_off_;   // size()+1 CSR into ids_
-  Column<std::uint64_t> rate_off_;  // size()+1 CSR into rates_
+  // size()+1 CSR tables, or empty while the arena holds no row.
+  Column<std::uint64_t> job_off_;   // into ids_
+  Column<std::uint64_t> rate_off_;  // into rates_
   Column<JobId> ids_;
   Column<double> rates_;
   std::size_t peak_bytes_ = 0;

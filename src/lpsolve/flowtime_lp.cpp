@@ -1,7 +1,8 @@
-// The discretized Section 3.1 LP: slot grid, unit costs, the grouping of
-// identical jobs into classes, the min-cost-flow solve and its exact dual
-// certificate (certify_flowtime_dual), plus the dense per-job builder for the
-// simplex cross-check.  The certificate decides most dual constraints in
+// The discretized Section 3.1 LP: slot grid, the grouping of identical jobs
+// into classes, the min-cost-flow solve and its exact dual certificate
+// (certify_flowtime_dual).  The dense per-job builder for the simplex
+// cross-check lives in flowtime_lp_dense.cpp, on the same grid helpers
+// (flowtime_grid.h).  The certificate decides most dual constraints in
 // doubles, inside a stated range where that is exact, and the rest in
 // Rational; its result has the same bits as checking every constraint in
 // Rational.
@@ -18,32 +19,14 @@
 #include <utility>
 #include <vector>
 
+#include "lpsolve/flowtime_grid.h"
 #include "lpsolve/mincost_flow.h"
 #include "lpsolve/rational.h"
-#include "lpsolve/simplex.h"
 #include "obs/obs.h"
 
 namespace tempofair::lpsolve {
 
-namespace {
-
-struct Grid {
-  double t0 = 0.0;       // grid origin (min release)
-  double slot = 1.0;
-  std::size_t slots = 0;
-
-  [[nodiscard]] double slot_start(std::size_t s) const {
-    return t0 + static_cast<double>(s) * slot;
-  }
-  /// Slot containing the release.  Granting the *whole* slot (not just the
-  /// part after r_j) relaxes the LP, and the cost there is evaluated at r_j
-  /// itself (unit_cost clamps t - r_j at 0) -- both effects only lower the
-  /// discrete optimum, keeping it a valid lower bound on the continuous LP.
-  [[nodiscard]] std::size_t first_slot_for(double release) const {
-    const double rel = (release - t0) / slot;
-    return static_cast<std::size_t>(std::floor(rel + 1e-12));
-  }
-};
+namespace detail {
 
 Grid make_grid(const Instance& instance, const FlowtimeLpOptions& options) {
   if (instance.empty()) {
@@ -76,20 +59,6 @@ Grid make_grid(const Instance& instance, const FlowtimeLpOptions& options) {
   return g;
 }
 
-/// Cost per unit of processing of job j in slot s (evaluated at slot start);
-/// size_pow is pow(j.size, k), computed once per job.
-double unit_cost(const Job& j, const Grid& g, std::size_t s, double k,
-                 double size_pow) {
-  const double t = std::max(g.slot_start(s) - j.release, 0.0);
-  return (std::pow(t, k) + size_pow) / j.size;
-}
-
-[[nodiscard]] bool lp_included(const Job& j) {
-  return j.size >= kMinLpJobSize;
-}
-
-/// Rejects an included job released at or after the end of the (possibly
-/// capped) grid: it would have no slot to run in.
 void require_slot_for(const Job& j, const Grid& g) {
   if (g.first_slot_for(j.release) >= g.slots) {
     throw std::invalid_argument(
@@ -98,6 +67,17 @@ void require_slot_for(const Job& j, const Grid& g) {
         " slots (max_slots too small)");
   }
 }
+
+}  // namespace detail
+
+namespace {
+
+using detail::Grid;
+using detail::lp_included;
+using detail::make_grid;
+using detail::require_slot_for;
+using detail::unit_cost;
+
 
 /// The included jobs grouped into classes of bitwise-equal (release, size).
 /// Members of a class have identical cost rows, so the LP keeps one demand
@@ -132,6 +112,8 @@ JobClasses group_identical_jobs(const std::vector<const Job*>& included) {
   }
   JobClasses classes;
   classes.of.resize(n);
+  classes.leader.reserve(n);
+  classes.supply.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
     if (first_member[j] == j) {
       classes.of[j] = classes.leader.size();
@@ -380,12 +362,17 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   const JobClasses classes = group_identical_jobs(included);
   const std::size_t num_classes = classes.leader.size();
 
+  std::size_t class_arcs = 0;
+  for (const Job* leader : classes.leader) {
+    class_arcs += g.slots - g.first_slot_for(leader->release);
+  }
+
   // Nodes: source | classes (1..C) | slots (C+1 .. C+slots) | sink.
   const std::size_t kSource = 0;
   const std::size_t kClass0 = 1;
   const std::size_t kSlot0 = kClass0 + num_classes;
   const std::size_t kSink = kSlot0 + g.slots;
-  MinCostFlow mcf(kSink + 1);
+  MinCostFlow mcf(kSink + 1, g.slots + num_classes + class_arcs);
 
   const double slot_cap = g.slot * options.machines;
   std::vector<std::size_t> slot_edge(g.slots);
@@ -396,6 +383,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   // Class->slot unit costs in build order (class-major, slots ascending),
   // which the certificate pass walks in the same order.
   std::vector<double> costs;
+  costs.reserve(class_arcs);
   for (std::size_t ci = 0; ci < num_classes; ++ci) {
     const Job& j = *classes.leader[ci];
     mcf.add_edge(kSource, kClass0 + ci, classes.supply[ci], 0.0);
@@ -454,69 +442,6 @@ std::size_t flowtime_lp_num_vars(const Instance& instance,
 std::size_t flowtime_lp_num_slots(const Instance& instance,
                                   const FlowtimeLpOptions& options) {
   return make_grid(instance, options).slots;
-}
-
-LinearProgram build_flowtime_lp(const Instance& instance,
-                                const FlowtimeLpOptions& options) {
-  const Grid g = make_grid(instance, options);
-  const std::size_t n = instance.n();
-
-  // Variable layout: for each *included* job j (in id order), one variable
-  // per slot s >= first_slot_for(r_j).  Tiny jobs are dropped exactly as in
-  // solve_flowtime_lp so the two solvers stay comparable.
-  std::vector<bool> incl(n, false);
-  std::vector<std::size_t> var_base(n + 1, 0);
-  std::vector<std::size_t> first_slot(n, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const Job& job = instance.job(static_cast<JobId>(j));
-    incl[j] = lp_included(job);
-    if (incl[j]) require_slot_for(job, g);
-    first_slot[j] = g.first_slot_for(job.release);
-    var_base[j + 1] =
-        var_base[j] + (incl[j] ? g.slots - first_slot[j] : 0);
-  }
-  const std::size_t num_vars = var_base[n];
-
-  LinearProgram lp;
-  lp.objective.assign(num_vars, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!incl[j]) continue;
-    const Job& job = instance.job(static_cast<JobId>(j));
-    const double size_pow = std::pow(job.size, options.k);
-    for (std::size_t s = first_slot[j]; s < g.slots; ++s) {
-      lp.objective[var_base[j] + (s - first_slot[j])] =
-          unit_cost(job, g, s, options.k, size_pow);
-    }
-  }
-  // sum_t x_{jt} >= p_j
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!incl[j]) continue;
-    LinearProgram::Row row;
-    row.coeffs.assign(num_vars, 0.0);
-    for (std::size_t s = first_slot[j]; s < g.slots; ++s) {
-      row.coeffs[var_base[j] + (s - first_slot[j])] = 1.0;
-    }
-    row.rel = LinearProgram::Rel::kGe;
-    row.rhs = instance.job(static_cast<JobId>(j)).size;
-    lp.rows.push_back(std::move(row));
-  }
-  // sum_j x_{jt} <= m * slot
-  for (std::size_t s = 0; s < g.slots; ++s) {
-    LinearProgram::Row row;
-    row.coeffs.assign(num_vars, 0.0);
-    bool any = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (incl[j] && s >= first_slot[j]) {
-        row.coeffs[var_base[j] + (s - first_slot[j])] = 1.0;
-        any = true;
-      }
-    }
-    if (!any) continue;
-    row.rel = LinearProgram::Rel::kLe;
-    row.rhs = g.slot * options.machines;
-    lp.rows.push_back(std::move(row));
-  }
-  return lp;
 }
 
 }  // namespace tempofair::lpsolve

@@ -33,7 +33,9 @@
 // build_flowtime_lp() exposes the same program, one row per job, for the
 // dense simplex, which serves only as a cross-check oracle (experiment T8,
 // lp_fuzz, tests) -- so those checks compare the class graph against the
-// unaggregated LP.  Its callers include simplex.h themselves.
+// unaggregated LP.  It is built in its own file (flowtime_lp_dense.cpp), so
+// the min-cost-flow path does not include simplex.h; its callers include
+// simplex.h themselves.
 #pragma once
 
 #include <cstddef>

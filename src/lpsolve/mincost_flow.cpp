@@ -10,11 +10,13 @@
 
 namespace tempofair::lpsolve {
 
-MinCostFlow::MinCostFlow(std::size_t num_nodes) : num_nodes_(num_nodes) {
+MinCostFlow::MinCostFlow(std::size_t num_nodes, std::size_t num_edges)
+    : num_nodes_(num_nodes) {
   // Dijkstra's heap reserves the two largest indices as markers.
   if (num_nodes >= std::numeric_limits<Index>::max() - 1) {
     throw std::invalid_argument("MinCostFlow: too many nodes");
   }
+  edges_.reserve(num_edges);
 }
 
 std::size_t MinCostFlow::add_edge(std::size_t u, std::size_t v, double cap,
@@ -89,18 +91,26 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t s, std::size_t t,
   // [run_first[v], run_first[v + 1]).  In the flow-time graph nearly every
   // arc sits in a long run (source -> jobs, job -> slots, slot -> earlier
   // jobs' reverse arcs).
-  std::vector<Index> run_first(n + 1);
-  std::vector<Index> run_begin;
+  const auto starts_run = [&](std::size_t v, std::size_t a) {
+    return a == first[v] || head[a] != head[a - 1] + 1;
+  };
+  std::size_t num_runs = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    run_first[v] = static_cast<Index>(run_begin.size());
     for (std::size_t a = first[v]; a < first[v + 1]; ++a) {
-      if (a == first[v] || head[a] != head[a - 1] + 1) {
-        run_begin.push_back(static_cast<Index>(a));
-      }
+      num_runs += starts_run(v, a) ? 1 : 0;
     }
   }
-  run_first[n] = static_cast<Index>(run_begin.size());
-  run_begin.push_back(static_cast<Index>(num_arcs));
+  std::vector<Index> run_first(n + 1);
+  std::vector<Index> run_begin(num_runs + 1);
+  std::size_t runs = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    run_first[v] = static_cast<Index>(runs);
+    for (std::size_t a = first[v]; a < first[v + 1]; ++a) {
+      if (starts_run(v, a)) run_begin[runs++] = static_cast<Index>(a);
+    }
+  }
+  run_first[n] = static_cast<Index>(runs);
+  run_begin[runs] = static_cast<Index>(num_arcs);
 
   // Tolerances must scale with the cost magnitude: with costs spanning many
   // orders of magnitude (the flow-time LP's k-th-power costs do), fixed

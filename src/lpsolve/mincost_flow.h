@@ -36,7 +36,8 @@ inline constexpr double kFlowEps = 1e-9;
 
 class MinCostFlow {
  public:
-  explicit MinCostFlow(std::size_t num_nodes);
+  /// `num_edges` sizes the edge list up front (a hint, not a limit).
+  explicit MinCostFlow(std::size_t num_nodes, std::size_t num_edges = 0);
 
   /// Adds a directed edge u -> v; returns its handle for flow queries.
   /// Requires cap >= 0 and cost >= 0 (SSP with potentials needs nonnegative

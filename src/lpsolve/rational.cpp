@@ -1,7 +1,9 @@
 #include "lpsolve/rational.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace tempofair::lpsolve {
 
@@ -14,13 +16,51 @@ UInt uabs(Int v) {
   return v < 0 ? -static_cast<UInt>(v) : static_cast<UInt>(v);
 }
 
-UInt gcd_u(UInt a, UInt b) {
-  while (b != 0) {
-    const UInt t = a % b;
-    a = b;
-    b = t;
+/// Trailing zero bits of v != 0.
+int ctz_u(UInt v) {
+  const auto lo = static_cast<std::uint64_t>(v);
+  return lo != 0 ? __builtin_ctzll(lo)
+                 : 64 + __builtin_ctzll(static_cast<std::uint64_t>(v >> 64));
+}
+
+/// Binary (Stein's) gcd of two odd values: only shifts and subtractions.
+template <typename U>
+U odd_gcd(U a, U b) {
+  for (;;) {
+    if (a > b) std::swap(a, b);
+    if (a == 1) return 1;
+    b -= a;  // even
+    if (b == 0) return a;
+    if constexpr (sizeof(U) == 8) {
+      b >>= __builtin_ctzll(b);
+    } else {
+      b >>= ctz_u(b);
+    }
   }
-  return a;
+}
+
+/// The gcd, computed without the 128-bit divisions of Euclid's algorithm
+/// (a library call each), which dominated exact-certificate arithmetic.
+/// The operands here are mostly dyadic, where it finishes in a step or two.
+UInt gcd_u(UInt a, UInt b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  const int shift = ctz_u(a | b);
+  a >>= ctz_u(a);
+  b >>= ctz_u(b);
+  if (((a | b) >> 64) == 0) {
+    return static_cast<UInt>(odd_gcd(static_cast<std::uint64_t>(a),
+                                     static_cast<std::uint64_t>(b)))
+           << shift;
+  }
+  return odd_gcd(a, b) << shift;
+}
+
+/// v / g for a g > 0 that divides v exactly: a shift when g is a power of
+/// two (exact division rounds nothing, so the shift agrees for negative v).
+Rational::Int exact_div(Rational::Int v, UInt g) {
+  if ((g & (g - 1)) == 0) return v >> ctz_u(g);
+  return v / static_cast<Rational::Int>(g);
 }
 
 bool mul_overflows(Int a, Int b, Int* out) {
@@ -51,8 +91,8 @@ Rational Rational::make(Int num, Int den) noexcept {
   if (num == 0) return Rational(0, 1, true);
   const UInt g = gcd_u(uabs(num), static_cast<UInt>(den));
   if (g > 1) {
-    num /= static_cast<Int>(g);
-    den /= static_cast<Int>(g);
+    num = exact_div(num, g);
+    den = exact_div(den, g);
   }
   return Rational(num, den, true);
 }
@@ -135,8 +175,8 @@ Rational operator+(const Rational& a, const Rational& b) {
   if (!a.valid_ || !b.valid_) return Rational::invalid();
   // a.num/a.den + b.num/b.den over the reduced common denominator.
   const UInt g = gcd_u(static_cast<UInt>(a.den_), static_cast<UInt>(b.den_));
-  const Int bden_red = b.den_ / static_cast<Int>(g);
-  const Int aden_red = a.den_ / static_cast<Int>(g);
+  const Int bden_red = exact_div(b.den_, g);
+  const Int aden_red = exact_div(a.den_, g);
   Int lhs = 0, rhs = 0, num = 0, den = 0;
   if (mul_overflows(a.num_, bden_red, &lhs) ||
       mul_overflows(b.num_, aden_red, &rhs) ||
@@ -156,10 +196,10 @@ Rational operator*(const Rational& a, const Rational& b) {
   // Cross-reduce before multiplying to keep intermediates small.
   const UInt g1 = gcd_u(uabs(a.num_), static_cast<UInt>(b.den_));
   const UInt g2 = gcd_u(uabs(b.num_), static_cast<UInt>(a.den_));
-  const Int an = a.num_ / static_cast<Int>(g1 == 0 ? 1 : g1);
-  const Int bd = b.den_ / static_cast<Int>(g1 == 0 ? 1 : g1);
-  const Int bn = b.num_ / static_cast<Int>(g2 == 0 ? 1 : g2);
-  const Int ad = a.den_ / static_cast<Int>(g2 == 0 ? 1 : g2);
+  const Int an = exact_div(a.num_, g1 == 0 ? 1 : g1);
+  const Int bd = exact_div(b.den_, g1 == 0 ? 1 : g1);
+  const Int bn = exact_div(b.num_, g2 == 0 ? 1 : g2);
+  const Int ad = exact_div(a.den_, g2 == 0 ? 1 : g2);
   Int num = 0, den = 0;
   if (mul_overflows(an, bn, &num) || mul_overflows(ad, bd, &den)) {
     return Rational::invalid();

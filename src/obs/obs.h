@@ -11,7 +11,9 @@
 // counter snapshots even when experiments share one work-stealing pool.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -21,24 +23,68 @@
 
 namespace tempofair::obs {
 
-/// A set of named monotonic counters.  Thread-safe; cheap enough for
-/// once-per-simulation recording (not intended for per-event increments --
-/// accumulate locally and flush once).
+/// A set of named monotonic counters.  Thread-safe, and cheap enough to
+/// call per simulation run or per LP solve: the first add() of a name on a
+/// thread resolves it to a slot under the mutex; later adds of the same name
+/// find that slot in a per-thread cache (keyed by the name's address and
+/// length, checked against its bytes) and update it with one atomic add --
+/// no lock, no allocation, no string built.  Per-event increments inside a
+/// kernel's inner loop should still accumulate locally and flush once.
 class Sink {
  public:
-  Sink() = default;
+  Sink();
   Sink(const Sink&) = delete;
   Sink& operator=(const Sink&) = delete;
 
   void add(std::string_view name, std::uint64_t delta);
   /// Current value (0 if never recorded).
   [[nodiscard]] std::uint64_t value(std::string_view name) const;
+  /// Every name recorded since construction or the last clear(), zero
+  /// deltas included.
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
   void clear();
 
  private:
+  friend class ScopedTimer;
+
+  /// One counter.  Slots live as long as their sink (clear() only zeroes
+  /// them), so a cached slot pointer stays valid while its sink lives.
+  struct Slot {
+    std::atomic<std::uint64_t> value{0};
+    /// Recorded since construction or the last clear(): snapshot() lists
+    /// exactly the touched slots.
+    std::atomic<bool> touched{false};
+    /// The map key of this slot.
+    std::string_view name;
+
+    void add(std::uint64_t delta) noexcept {
+      value.fetch_add(delta, std::memory_order_relaxed);
+      if (!touched.load(std::memory_order_relaxed)) {
+        touched.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  /// One per-thread cache entry: (sink, name address, name length) ->
+  /// slots.  The cache is set-associative, kCacheWays entries per set.
+  struct CacheEntry;
+  static constexpr std::size_t kCacheSetBits = 7;
+  static constexpr std::size_t kCacheWays = 4;
+  static constexpr std::size_t kCacheEntries = kCacheWays << kCacheSetBits;
+  static thread_local CacheEntry cache_[kCacheEntries];
+
+  /// Adds `ns` to "<name>.ns" and 1 to "<name>.calls".
+  void add_timer(std::string_view name, std::uint64_t ns);
+  /// The slot of `name` through the calling thread's cache.  With `calls`
+  /// set, the slots of "<name>.ns" (returned) and "<name>.calls" (*calls).
+  Slot& resolve(std::string_view name, Slot** calls);
+  /// The cache-miss path: finds or creates the slots under the mutex.
+  Slot& slot_locked(std::string_view name);
+
+  /// Unique over the process lifetime, so a cache entry of a destroyed sink
+  /// never matches a later sink at the same address.
+  const std::uint64_t id_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, Slot, std::less<>> counters_;
 };
 
 /// The process-global fallback sink.

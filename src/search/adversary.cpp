@@ -21,12 +21,12 @@ namespace tempofair::search {
 namespace {
 
 /// Memory budget for one certification's LP.  solve_flowtime_lp holds at
-/// most 128 bytes per LP variable (job->slot arc): the 24-byte edge (48 with
-/// vector growth), its two residual arcs in MCMF's cap/cost/head/rev arrays
-/// (48), its flow (8), its unit cost (8, 16 with growth) and its share of
-/// the arc runs (8).  Each slot adds at most 256 bytes (a node's eight
-/// per-node entries, 64; its slot->sink edge, 128; its handle, 8; beta_t as
-/// a Rational and a double, 48), so the grid is capped at the
+/// most 128 bytes per LP variable (job->slot arc): the 24-byte edge, its two
+/// residual arcs in MCMF's cap/cost/head/rev arrays (48), its flow (8), its
+/// unit cost (8) and its share of the arc runs (at most 8); the edge list
+/// and the costs are sized up front.  Each slot adds at most 256 bytes (a
+/// node's eight per-node entries, 64; its slot->sink edge, 128; its handle,
+/// 8; beta_t as a Rational and a double, 48), so the grid is capped at the
 /// kAutoLpMaxSlots the search's own grids never exceed (about 150 KiB).
 /// 16 MiB of arcs is 131072 variables, over 200 jobs on a full grid; the
 /// rest of the LP (a node, a source edge and alpha_j per job, again under
@@ -164,6 +164,28 @@ CertifiedEval evaluate_certified(const Instance& instance,
   return out;
 }
 
+double screen_ratio(const Instance& instance, const SearchOptions& options) {
+  const obs::ScopedTimer timer("search.screen");
+  lpsolve::OptBoundsOptions bo;
+  bo.k = options.k;
+  bo.machines = options.machines;
+  bo.with_lp = false;
+  const lpsolve::OptBounds bounds = lpsolve::opt_bounds(instance, bo);
+  const auto policy = make_policy(options.policy);
+  analysis::RatioOptions ro;
+  ro.k = options.k;
+  ro.machines = options.machines;
+  ro.speed = options.speed;
+  ro.with_lp = false;
+  const analysis::RatioMeasurement m =
+      analysis::measure_ratio(instance, *policy, ro, bounds);
+  if (m.lb_degenerate || !(m.ratio_vs_proxy > 0.0) ||
+      !std::isfinite(m.ratio_vs_proxy)) {
+    return -1.0;
+  }
+  return m.ratio_vs_proxy;
+}
+
 std::vector<std::pair<std::string, Instance>> seed_instances(
     const SearchOptions& options) {
   const std::size_t n = options.max_jobs;
@@ -223,30 +245,6 @@ SearchResult search_adversary(const SearchOptions& options) {
     rec.ratio = eval.ratio;
     res.best = std::move(rec);
     res.found = true;
-  };
-
-  // Screening objective: the cheap side of the ratio bracket (cost vs the
-  // SRPT/SJF proxy; three fast-path runs).  Negative = unusable candidate.
-  auto screen = [&](const Instance& instance) -> double {
-    const obs::ScopedTimer timer("search.screen");
-    lpsolve::OptBoundsOptions bo;
-    bo.k = options.k;
-    bo.machines = options.machines;
-    bo.with_lp = false;
-    const lpsolve::OptBounds bounds = lpsolve::opt_bounds(instance, bo);
-    const auto policy = make_policy(options.policy);
-    analysis::RatioOptions ro;
-    ro.k = options.k;
-    ro.machines = options.machines;
-    ro.speed = options.speed;
-    ro.with_lp = false;
-    const analysis::RatioMeasurement m =
-        analysis::measure_ratio(instance, *policy, ro, bounds);
-    if (m.lb_degenerate || !(m.ratio_vs_proxy > 0.0) ||
-        !std::isfinite(m.ratio_vs_proxy)) {
-      return -1.0;
-    }
-    return m.ratio_vs_proxy;
   };
 
   // Stage 0: fully certify every hard-family seed, so the result is never
@@ -325,7 +323,7 @@ SearchResult search_adversary(const SearchOptions& options) {
   Candidate cur = res.found
                       ? Candidate{res.best.releases, res.best.sizes, "search"}
                       : candidate_of(seeds.front().second, "search");
-  double cur_screen = screen(instance_of(cur));
+  double cur_screen = screen_ratio(instance_of(cur), options);
   ++res.stats.evals;
   double champ_screen = cur_screen;
   std::size_t stale = 0;
@@ -333,7 +331,7 @@ SearchResult search_adversary(const SearchOptions& options) {
   while (res.stats.evals < options.budget) {
     const Candidate cand = mutate(cur);
     const Instance instance = instance_of(cand);
-    const double s = screen(instance);
+    const double s = screen_ratio(instance, options);
     ++res.stats.evals;
     if (s < 0.0) {
       ++res.stats.skipped_degenerate;
@@ -362,7 +360,7 @@ SearchResult search_adversary(const SearchOptions& options) {
       const auto& [family, seed_inst] = seeds[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(seeds.size()) - 1))];
       cur = mutate(candidate_of(seed_inst, family));
-      cur_screen = screen(instance_of(cur));
+      cur_screen = screen_ratio(instance_of(cur), options);
       ++res.stats.evals;
       if (cur_screen < 0.0) cur_screen = 0.0;
     }

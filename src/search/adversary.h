@@ -117,6 +117,12 @@ struct VerifyReport {
                                                const SearchOptions& options,
                                                double lp_slot = 0.0);
 
+/// The search's screening objective, the cheap side of the ratio bracket:
+/// (cost / proxy)^(1/k) for the policy's cost against the SRPT/SJF upper
+/// bound (three fast-path runs, no LP).  Negative for an unusable candidate.
+[[nodiscard]] double screen_ratio(const Instance& instance,
+                                  const SearchOptions& options);
+
 /// The hard families seeding the search, adapted to options.max_jobs.
 [[nodiscard]] std::vector<std::pair<std::string, Instance>> seed_instances(
     const SearchOptions& options);

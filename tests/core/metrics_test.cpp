@@ -13,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/instance.h"
+#include "core/schedule.h"
+
 namespace tempofair {
 namespace {
 
@@ -69,6 +72,29 @@ TEST(LkNorm, MonotoneDecreasingInK) {
 TEST(LkNorm, RejectsKLessThanOne) {
   const std::vector<double> v{1.0};
   EXPECT_THROW((void)lk_norm(v, 0.5), std::invalid_argument);
+}
+
+TEST(LkNorm, RejectsNanK) {
+  // A NaN k passes `k < 1.0`; every l_k entry point must still reject it
+  // rather than return NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> v{1.0, 2.0};
+  const std::vector<double> w{1.0, 1.0};
+  const Instance inst = Instance::from_pairs(
+      std::vector<std::pair<Time, Work>>{{0.0, 1.0}, {0.0, 2.0}});
+  Schedule sched(inst, 1, 1.0);
+  sched.set_completion(0, 1.0);
+  sched.set_completion(1, 3.0);
+  EXPECT_THROW((void)lk_norm(v, nan), std::invalid_argument);
+  EXPECT_THROW((void)lk_power_sum(v, nan), std::invalid_argument);
+  EXPECT_THROW((void)flow_lk_norm(sched, nan), std::invalid_argument);
+  EXPECT_THROW((void)flow_lk_power(sched, nan), std::invalid_argument);
+  EXPECT_THROW((void)weighted_lk_power(v, w, nan), std::invalid_argument);
+  EXPECT_THROW((void)weighted_lk_norm(v, w, nan), std::invalid_argument);
+  EXPECT_THROW((void)weighted_flow_lk_power(sched, nan), std::invalid_argument);
+  EXPECT_THROW((void)weighted_flow_lk_norm(sched, nan), std::invalid_argument);
+  // The checks leave valid k untouched.
+  EXPECT_DOUBLE_EQ(flow_lk_power(sched, 2.0), 10.0);
 }
 
 TEST(LkNorm, RejectsNegativeValues) {
@@ -146,6 +172,10 @@ TEST(Percentile, RejectsOutOfRange) {
   const std::vector<double> v{1.0};
   EXPECT_THROW((void)percentile(v, -1.0), std::invalid_argument);
   EXPECT_THROW((void)percentile(v, 101.0), std::invalid_argument);
+  // NaN fails both range comparisons; it must not reach the rank cast.
+  EXPECT_THROW(
+      (void)percentile(v, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(FlowStats, SummarizesCorrectly) {

@@ -3,7 +3,11 @@
 // (empty stream, simultaneous arrivals, out-of-order rejection).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -152,6 +156,159 @@ TEST(RunFacade, StreamingRequiresFastPathCapablePolicy) {
   // and friends grew descriptors, so they stream fine now.
   req.policy = "hdf";
   EXPECT_THROW((void)run(stream, req), std::invalid_argument);
+}
+
+// --- the run() facades reuse one EngineCore per thread ----------------------
+
+/// Bit-for-bit equality of two run results: completions, the trace, the
+/// flow statistics and what the invariant layer saw.
+void expect_same_run(const RunResult& got, const RunResult& want,
+                     const std::string& label) {
+  SCOPED_TRACE(label);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(got.policy, want.policy);
+  ASSERT_EQ(got.schedule.n(), want.schedule.n());
+  for (JobId j = 0; j < got.schedule.n(); ++j) {
+    ASSERT_EQ(bits(got.schedule.completion(j)), bits(want.schedule.completion(j)))
+        << "job " << j;
+  }
+  ASSERT_EQ(got.schedule.has_trace(), want.schedule.has_trace());
+  const TraceArena& gt = got.schedule.trace();
+  const TraceArena& wt = want.schedule.trace();
+  ASSERT_EQ(gt.size(), wt.size());
+  EXPECT_EQ(got.schedule.trace_memory_bytes(), want.schedule.trace_memory_bytes());
+  for (std::size_t i = 0; i < gt.size(); ++i) {
+    const TraceIntervalView a = gt[i];
+    const TraceIntervalView b = wt[i];
+    ASSERT_EQ(bits(a.begin()), bits(b.begin())) << "interval " << i;
+    ASSERT_EQ(bits(a.end()), bits(b.end())) << "interval " << i;
+    ASSERT_EQ(a.alive_count(), b.alive_count()) << "interval " << i;
+    for (std::size_t k = 0; k < a.alive_count(); ++k) {
+      ASSERT_EQ(a.job(k), b.job(k)) << "interval " << i;
+      ASSERT_EQ(bits(a.rate(k)), bits(b.rate(k))) << "interval " << i;
+    }
+  }
+  const FlowStats& gs = got.stats;
+  const FlowStats& ws = want.stats;
+  EXPECT_EQ(gs.n, ws.n);
+  for (const auto& [g, w] :
+       {std::pair{gs.l1, ws.l1}, {gs.l2, ws.l2}, {gs.l3, ws.l3},
+        {gs.linf, ws.linf}, {gs.mean, ws.mean}, {gs.variance, ws.variance},
+        {gs.stddev, ws.stddev}, {gs.p50, ws.p50}, {gs.p95, ws.p95},
+        {gs.p99, ws.p99}}) {
+    EXPECT_EQ(bits(g), bits(w));
+  }
+  const InvariantStats& gi = got.invariants;
+  const InvariantStats& wi = want.invariants;
+  EXPECT_EQ(gi.mode, wi.mode);
+  EXPECT_EQ(gi.epochs_seen, wi.epochs_seen);
+  EXPECT_EQ(gi.epochs_checked, wi.epochs_checked);
+  EXPECT_EQ(gi.checks_run, wi.checks_run);
+  EXPECT_EQ(gi.violations, wi.violations);
+  EXPECT_EQ(gi.reports.size(), wi.reports.size());
+}
+
+TEST(RunFacade, BackToBackRunsMatchAFreshCore) {
+  // One thread, many run() calls: every result must equal what a fresh
+  // EngineCore produces, whatever ran on the thread's core before it --
+  // other policies, sizes and machine counts, trace on and off, sampled
+  // and exhaustive invariants, runs past the size the core keeps, and a
+  // run that throws halfway.
+  const std::vector<std::string> policies{"rr",  "srpt", "sjf",  "fcfs",
+                                          "setf", "mlfq", "laps:0.5", "hdf"};
+  const std::vector<std::size_t> sizes{6, 40, 1500, 3};
+  int cell = 0;
+  for (const std::size_t n : sizes) {
+    for (const int machines : {1, 3}) {
+      workload::Rng rng(1000 + n + static_cast<std::size_t>(machines));
+      const Instance inst = workload::detail::poisson_load(
+          n, machines, 0.95, workload::ExponentialSize{1.0}, rng);
+      for (const std::string& policy : policies) {
+        ++cell;
+        RunRequest req;
+        req.policy = policy;
+        req.machines = machines;
+        req.speed = cell % 2 == 0 ? 1.0 : 1.5;
+        req.record_trace = cell % 3 != 0;
+        req.invariants =
+            cell % 4 == 0 ? InvariantMode::kExhaustive : InvariantMode::kSampled;
+        req.invariant_sample_period = 3;
+        if (cell % 5 == 0) {
+          // A run aborted by the step valve leaves no state behind.
+          RunRequest doomed = req;
+          doomed.max_steps = 2;
+          EXPECT_THROW((void)run(inst, doomed), std::runtime_error);
+        }
+        const RunResult reused = run(inst, req);
+        const RunResult fresh = EngineCore().run(inst, req);
+        expect_same_run(reused, fresh,
+                        policy + " n=" + std::to_string(n) +
+                            " m=" + std::to_string(machines));
+      }
+      // The streaming facade shares the thread's core with the others.
+      workload::detail::InstanceRefStream stream(inst);
+      RunRequest req;
+      req.policy = "rr";
+      req.machines = machines;
+      const RunResult streamed = run(stream, req);
+      workload::detail::InstanceRefStream again(inst);
+      expect_same_run(streamed, EngineCore().run(again, req),
+                      "stream n=" + std::to_string(n));
+    }
+  }
+}
+
+/// Round Robin on the generic loop that starts a nested facade run from
+/// every arrival callback.
+class NestingPolicy final : public Policy {
+ public:
+  explicit NestingPolicy(const Instance& inner) : inner_(&inner) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "nesting_rr";
+  }
+  [[nodiscard]] bool clairvoyant() const noexcept override { return false; }
+  void on_arrival(const AliveJob& job, Time now) override {
+    rr_.on_arrival(job, now);
+    RunRequest req;
+    req.policy = "srpt";
+    nested.push_back(run(*inner_, req));
+  }
+  [[nodiscard]] RateDecision rates(const SchedulerContext& ctx) override {
+    return rr_.rates(ctx);
+  }
+
+  std::vector<RunResult> nested;
+
+ private:
+  const Instance* inner_;
+  RoundRobin rr_;
+};
+
+TEST(RunFacade, ReentrantRunGetsACoreOfItsOwn) {
+  const Instance outer = small_instance();
+  const Instance inner = Instance::from_pairs(
+      std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {0.5, 1.0}, {1.0, 3.0}});
+  NestingPolicy policy(inner);
+  RunRequest req;
+  req.use_fast_path = false;
+  const RunResult result = run(outer, policy, req);
+  ASSERT_EQ(policy.nested.size(), outer.n());
+
+  RoundRobin rr;
+  const RunResult outer_want = EngineCore().run(outer, rr, req);
+  ASSERT_EQ(result.schedule.n(), outer.n());
+  for (JobId j = 0; j < outer.n(); ++j) {
+    EXPECT_EQ(result.schedule.completion(j), outer_want.schedule.completion(j));
+  }
+  RunRequest inner_req;
+  inner_req.policy = "srpt";
+  const RunResult want = EngineCore().run(inner, inner_req);
+  for (const RunResult& nested : policy.nested) {
+    EXPECT_EQ(nested.schedule.n(), inner.n());
+    for (JobId j = 0; j < inner.n(); ++j) {
+      EXPECT_EQ(nested.schedule.completion(j), want.schedule.completion(j));
+    }
+  }
 }
 
 }  // namespace

@@ -254,9 +254,10 @@ TEST(TraceArena, MemoryBytesFollowTheGrowthRule) {
   // Row i holds i % 5 + 1 jobs at one uniform rate.  Each column grows to
   // max(needed, capacity + capacity / 4 + 1) when full; memory_bytes() is
   // 8 bytes per slot of begin/end/both offset tables and of rates, and 4
-  // per id slot.  Offsets start with one slot (offset[0] == 0).
+  // per id slot.  An empty arena holds no slot; the first row gives each
+  // offset table two (offset[0] == 0 and the row's end offset).
   TraceArena arena;
-  EXPECT_EQ(arena.memory_bytes(), 16u);
+  EXPECT_EQ(arena.memory_bytes(), 0u);
   std::vector<JobId> jobs;
   std::vector<std::size_t> at;
   for (int i = 0; i < 1000; ++i) {
@@ -309,13 +310,13 @@ TEST(TraceArena, ShrinkToFitOnEmptyArena) {
   arena.shrink_to_fit();
   EXPECT_TRUE(arena.empty());
   EXPECT_EQ(arena.entry_count(), 0u);
-  EXPECT_EQ(arena.memory_bytes(), 16u);  // offset[0] of both tables
+  EXPECT_EQ(arena.memory_bytes(), 0u);  // no row, no offset table
   EXPECT_TRUE(arena.job_trace(0).empty());
   arena.append(0.0, 1.0, {RateShare{1, 0.5}});
   arena.clear();
   arena.shrink_to_fit();
   EXPECT_TRUE(arena.empty());
-  EXPECT_EQ(arena.memory_bytes(), 16u);
+  EXPECT_EQ(arena.memory_bytes(), 0u);
   arena.append(2.0, 3.0, {RateShare{0, 1.0}, RateShare{1, 0.25}});
   ASSERT_EQ(arena.size(), 1u);
   EXPECT_DOUBLE_EQ(arena.job_work(1), 0.25);

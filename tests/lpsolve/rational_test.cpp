@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,39 @@ TEST(Rational, FromRatioNormalizes) {
   const Rational half = Rational::from_ratio(3, 6);
   EXPECT_EQ(static_cast<long long>(half.num()), 1);
   EXPECT_EQ(static_cast<long long>(half.den()), 2);
+}
+
+TEST(Rational, NormalizesToTheEuclidGcd) {
+  // Every value is reduced by the gcd: odd and power-of-two factors, signs,
+  // and operands wider than 64 bits after a product.
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const auto num = static_cast<long long>(rng() >> (1 + rng() % 62)) *
+                     (i % 3 == 0 ? -1 : 1);
+    auto den = static_cast<long long>(rng() >> (1 + rng() % 62));
+    if (i % 4 == 0) den = 1LL << (rng() % 62);
+    if (den == 0) den = 1;
+    const Rational r = Rational::from_ratio(num, den);
+    ASSERT_TRUE(r.valid());
+    const long long g = std::gcd(num, den);
+    ASSERT_EQ(r.num(), static_cast<Rational::Int>(num / g)) << num << "/" << den;
+    ASSERT_EQ(r.den(), static_cast<Rational::Int>(den / g)) << num << "/" << den;
+    // A product of two such values is reduced across 128-bit operands.
+    const Rational sq = r * Rational::from_ratio(den, 3);
+    ASSERT_TRUE(sq.valid());
+    const Rational::Int n2 = static_cast<Rational::Int>(num) * den;
+    const Rational::Int d2 = static_cast<Rational::Int>(den) * 3;
+    ASSERT_EQ(d2 % sq.den(), 0);
+    ASSERT_EQ(sq.num() * (d2 / sq.den()), n2);
+    Rational::Int a = sq.num() < 0 ? -sq.num() : sq.num();
+    Rational::Int b = sq.den();
+    while (b != 0) {
+      const Rational::Int t = a % b;
+      a = b;
+      b = t;
+    }
+    ASSERT_EQ(a, 1);
+  }
 }
 
 TEST(Rational, FromRatioZeroDenIsInvalid) {

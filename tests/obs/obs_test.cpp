@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/engine.h"
@@ -39,6 +41,87 @@ TEST(Sink, ThreadSafeAccumulation) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(sink.value("hits"), 4000u);
+}
+
+TEST(Sink, NamesBuiltInOneReusedBufferLandOnTheirOwnCounters) {
+  // Every name below sits at the same address with the same length, so a
+  // cache keyed on the address alone would merge them.
+  Sink sink;
+  std::string name;
+  name.reserve(64);
+  const char* const buffer = name.data();
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 5; ++i) {
+      name.assign("reused.counter");
+      name += static_cast<char>('0' + i);
+      ASSERT_EQ(name.data(), buffer);
+      sink.add(name, static_cast<std::uint64_t>(i + 1));
+      name.assign("reused.timer");
+      name += static_cast<char>('0' + i);
+      {
+        const ScopedSink scope(&sink);
+        const ScopedTimer timer(name);
+      }
+    }
+  }
+  for (int i = 0; i < 5; ++i) {
+    const std::string digit(1, static_cast<char>('0' + i));
+    EXPECT_EQ(sink.value("reused.counter" + digit),
+              3u * static_cast<std::uint64_t>(i + 1));
+    EXPECT_EQ(sink.value("reused.timer" + digit + ".calls"), 3u);
+  }
+  // Five counters plus a .ns and a .calls per timer, nothing else.
+  EXPECT_EQ(sink.snapshot().size(), 15u);
+}
+
+TEST(Sink, ZeroDeltasAreListedAndClearEmpties) {
+  Sink sink;
+  sink.add("zero", 0);
+  sink.add("one", 1);
+  auto snap = sink.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap.at("zero"), 0u);
+  sink.clear();
+  EXPECT_TRUE(sink.snapshot().empty());
+  EXPECT_EQ(sink.value("one"), 0u);
+  // After a clear, a name is listed again once it is recorded again, even
+  // with a zero delta and even through this thread's cached slot.
+  sink.add("zero", 0);
+  snap = sink.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap.at("zero"), 0u);
+}
+
+TEST(Sink, DistinctSinksKeepTheirOwnCounters) {
+  // A sink built at the address of a destroyed one must not inherit the
+  // destroyed sink's cached slots.
+  for (int i = 0; i < 4; ++i) {
+    Sink sink;
+    sink.add("per_sink", 1);
+    EXPECT_EQ(sink.value("per_sink"), 1u);
+    EXPECT_EQ(sink.snapshot().size(), 1u);
+  }
+}
+
+TEST(ObsPool, AddsFromPoolTasksSumExactly) {
+  harness::ThreadPool pool(4);
+  Sink sink;
+  constexpr std::size_t kTasks = 2000;
+  {
+    ScopedSink scope(&sink);
+    pool.parallel_for(kTasks, [](std::size_t i) {
+      add("pool_sum.total", i);
+      add("pool_sum.ones", 1);
+      add("pool_sum.zero", 0);
+    });
+  }
+  EXPECT_EQ(sink.value("pool_sum.total"), kTasks * (kTasks - 1) / 2);
+  EXPECT_EQ(sink.value("pool_sum.ones"), kTasks);
+  const auto snap = sink.snapshot();
+  ASSERT_TRUE(snap.count("pool_sum.zero"));
+  EXPECT_EQ(snap.at("pool_sum.zero"), 0u);
+  sink.clear();
+  EXPECT_TRUE(sink.snapshot().empty());
 }
 
 TEST(ScopedSink, RedirectsAndRestores) {

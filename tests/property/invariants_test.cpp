@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
@@ -373,13 +375,15 @@ TEST(InvariantStatsApi, SummarizeAndModeRoundTrip) {
 }
 
 TEST(InvariantStatsApi, RegistryListsBuiltinBattery) {
-  const std::vector<std::string> names = InvariantRegistry::instance().names();
-  for (const char* expected :
-       {"rate_bounds", "capacity", "work_conservation", "monotone_remaining",
-        "completion_consistency", "no_starvation", "temporal_fairness"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected << " missing from the registry";
-  }
+  const std::span<const std::string_view> names = InvariantSet::check_names();
+  const std::vector<std::string_view> expected{
+      "rate_bounds",        "capacity",
+      "work_conservation",  "monotone_remaining",
+      "completion_consistency",
+      "no_starvation",      "attained_accounting",
+      "temporal_fairness"};
+  EXPECT_EQ(std::vector<std::string_view>(names.begin(), names.end()),
+            expected);
 }
 
 TEST(InvariantStatsApi, SampledModeChecksEveryNthEpoch) {
