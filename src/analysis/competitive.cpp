@@ -11,15 +11,11 @@ namespace tempofair::analysis {
 RatioMeasurement measure_ratio(const Instance& instance, Policy& policy,
                                const RatioOptions& options,
                                const lpsolve::OptBounds& bounds) {
-  EngineOptions eng;
-  eng.machines = options.machines;
-  eng.speed = options.speed;
-  eng.record_trace = false;
-
-  // Ratio sweeps simulate the same policies over many instances; a reusable
-  // engine core keeps its alive-set buffers warm across calls.
-  static thread_local EngineCore core;
-  const Schedule sched = core.run(instance, policy, eng);
+  RunRequest request;
+  request.machines = options.machines;
+  request.speed = options.speed;
+  request.record_trace = false;
+  const Schedule sched = run(instance, policy, request).schedule;
 
   RatioMeasurement m;
   m.policy = std::string(policy.name());

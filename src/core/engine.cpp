@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -11,61 +10,57 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine_fail.h"
 #include "obs/obs.h"
 #include "policies/registry.h"
 
 namespace tempofair {
 
-namespace {
+namespace detail {
 
-[[noreturn]] void engine_fail(const std::string& msg) {
+void engine_fail(const std::string& msg) {
   throw std::runtime_error("tempofair::simulate: " + msg);
 }
 
-/// Packages a finished schedule as a RunResult (stats computed once here,
-/// where every facade overload converges).
-[[nodiscard]] RunResult finish_run(Schedule schedule, std::string_view policy,
-                                   double wall_seconds) {
-  RunResult result;
+}  // namespace detail
+
+namespace {
+
+using detail::engine_fail;
+
+/// The request checks every run takes, whichever route (instance or
+/// stream) and loop (fast path or generic) it ends up on.
+void validate_run(const RunRequest& request, const Policy& policy) {
+  if (request.machines < 1) {
+    throw std::invalid_argument("simulate: machines must be >= 1");
+  }
+  if (!(request.speed > 0.0) || !std::isfinite(request.speed)) {
+    throw std::invalid_argument("simulate: speed must be positive and finite");
+  }
+  if (request.hide_sizes && policy.clairvoyant()) {
+    throw std::invalid_argument(
+        "simulate: cannot hide sizes from clairvoyant policy " +
+        std::string(policy.name()));
+  }
+}
+
+[[nodiscard]] bool takes_fast_path(const Policy& policy,
+                                   const RunRequest& request) {
+  return request.use_fast_path && policy.fast_forward().enabled();
+}
+
+/// Completes a RunResult whose schedule and invariants a loop filled (stats
+/// computed once here, where every run converges).
+[[nodiscard]] RunResult finish_run(RunResult result, std::string_view policy) {
   {
     const obs::ScopedTimer timer("metrics.flow_stats");
-    result.stats = flow_stats(schedule);
+    result.stats = flow_stats(result.schedule);
   }
-  result.schedule = std::move(schedule);
   result.policy = std::string(policy);
-  result.wall_seconds = wall_seconds;
   return result;
 }
 
-class WallTimer {
- public:
-  [[nodiscard]] double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-};
-
 }  // namespace
-
-EngineOptions RunRequest::engine_options() const {
-  EngineOptions options;
-  options.machines = machines;
-  options.speed = speed;
-  options.record_trace = record_trace;
-  options.hide_sizes = hide_sizes;
-  options.max_time = max_time;
-  options.max_steps = max_steps;
-  options.max_zero_progress_steps = max_zero_progress_steps;
-  options.use_fast_path = use_fast_path;
-  options.invariants = invariants;
-  options.invariant_sample_period = invariant_sample_period;
-  return options;
-}
 
 RunResult EngineCore::run(const Instance& instance, const RunRequest& request) {
   const std::unique_ptr<Policy> policy = make_policy(request.policy);
@@ -79,70 +74,57 @@ RunResult EngineCore::run(JobStream& stream, const RunRequest& request) {
 
 RunResult EngineCore::run(const Instance& instance, Policy& policy,
                           const RunRequest& request) {
-  const WallTimer timer;
-  InvariantStats inv_stats;
-  EngineOptions options = request.engine_options();
-  options.invariant_stats = &inv_stats;
-  Schedule schedule = run(instance, policy, options);
-  RunResult result =
-      finish_run(std::move(schedule), policy.name(), timer.seconds());
-  result.invariants = std::move(inv_stats);
-  return result;
+  validate_run(request, policy);
+  policy.reset();
+  RunResult result;
+  if (takes_fast_path(policy, request)) {
+    result.schedule =
+        fast_.run(instance, policy.fast_forward(), request, policy.name(),
+                  policy.invariant_traits(), result.invariants);
+  } else {
+    result.schedule = run_generic(instance, policy, request, result.invariants);
+  }
+  return finish_run(std::move(result), policy.name());
 }
 
 RunResult EngineCore::run(JobStream& stream, Policy& policy,
                           const RunRequest& request) {
-  const WallTimer timer;
-  InvariantStats inv_stats;
-  EngineOptions options = request.engine_options();
-  options.invariant_stats = &inv_stats;
-  Schedule schedule = run(stream, policy, options);
-  RunResult result =
-      finish_run(std::move(schedule), policy.name(), timer.seconds());
-  result.invariants = std::move(inv_stats);
-  return result;
+  validate_run(request, policy);
+  if (!takes_fast_path(policy, request)) {
+    throw std::invalid_argument(
+        "simulate: streaming runs require a FastForward-capable policy and "
+        "request.use_fast_path; materialize an Instance to run policy " +
+        std::string(policy.name()) + " on the generic loop");
+  }
+  policy.reset();
+  RunResult result;
+  result.schedule = fast_.run(stream, policy.fast_forward(), request,
+                              policy.name(), policy.invariant_traits(),
+                              result.invariants);
+  return finish_run(std::move(result), policy.name());
 }
 
-Schedule EngineCore::run(const Instance& instance, Policy& policy,
-                         const EngineOptions& options) {
-  if (options.machines < 1) {
-    throw std::invalid_argument("simulate: machines must be >= 1");
-  }
-  if (!(options.speed > 0.0) || !std::isfinite(options.speed)) {
-    throw std::invalid_argument("simulate: speed must be positive and finite");
-  }
-  if (options.hide_sizes && policy.clairvoyant()) {
-    throw std::invalid_argument("simulate: cannot hide sizes from clairvoyant policy " +
-                                std::string(policy.name()));
-  }
-
-  if (takes_fast_path(policy, options)) {
-    policy.reset();
-    return fast_.run(instance, policy.fast_forward(), options, policy.name(),
-                     policy.invariant_traits());
-  }
-
+Schedule EngineCore::run_generic(const Instance& instance, Policy& policy,
+                                 const RunRequest& request,
+                                 InvariantStats& invariants) {
   obs::ScopedTimer run_timer("engine.run");
 
-  Schedule schedule(instance, options.machines, options.speed);
-  schedule.set_trace_recorded(options.record_trace);
-  policy.reset();
+  Schedule schedule(instance, request.machines, request.speed);
+  schedule.set_trace_recorded(request.record_trace);
 
   inv_.begin_run(
-      InvariantRunProfile{options.machines, options.speed,
+      InvariantRunProfile{request.machines, request.speed,
                           std::string(policy.name()),
                           policy.invariant_traits()},
-      options.invariants, options.invariant_sample_period, &schedule);
-  // End-of-run checks + stats hand-off; the exhaustive-mode throw happens
-  // only after the stats are copied out, so callers see the diagnostics.
+      request.invariants, request.invariant_sample_period, &schedule);
+  // End-of-run checks + stats hand-off; an exhaustive-mode violation throws
+  // with its diagnostics in the message.
   auto finish_invariants = [&] {
     inv_.finish();
-    if (options.invariant_stats != nullptr) {
-      *options.invariant_stats = inv_.stats();
-    }
-    if (options.invariants == InvariantMode::kExhaustive) {
+    if (request.invariants == InvariantMode::kExhaustive) {
       throw_if_violated(inv_.stats(), policy.name());
     }
+    invariants = inv_.stats();
   };
 
   if (instance.empty()) {
@@ -164,9 +146,9 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
 
   Time now = instance.job(order[0]).release;
 
-  const double cap = options.speed * options.machines;
+  const double cap = request.speed * request.machines;
   const double rate_tol = 1e-7 * std::max(1.0, cap);
-  const bool hide = options.hide_sizes;
+  const bool hide = request.hide_sizes;
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
   // Inserts all arrivals due at time t into the alive set (and its
@@ -198,8 +180,8 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
   std::size_t intervals_emitted = 0;
 
   while (!alive_.empty() || next_arrival < order.size()) {
-    if (++steps > options.max_steps) {
-      engine_fail("exceeded max_steps=" + std::to_string(options.max_steps) +
+    if (++steps > request.max_steps) {
+      engine_fail("exceeded max_steps=" + std::to_string(request.max_steps) +
                   " with policy " + std::string(policy.name()));
     }
 
@@ -210,7 +192,7 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
       continue;
     }
 
-    SchedulerContext ctx{now, options.machines, options.speed, views_,
+    SchedulerContext ctx{now, request.machines, request.speed, views_,
                          !hide};
     RateDecision decision = policy.rates(ctx);
 
@@ -231,11 +213,11 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
       double& r = decision.rates[i];
       r = clamp_nonneg(r, rate_tol);
       if (r < 0.0 || !std::isfinite(r)) engine_fail("policy returned negative/non-finite rate");
-      if (r > options.speed + rate_tol) {
+      if (r > request.speed + rate_tol) {
         engine_fail("policy rate " + std::to_string(r) + " exceeds per-machine speed " +
-                    std::to_string(options.speed));
+                    std::to_string(request.speed));
       }
-      r = std::min(r, options.speed);
+      r = std::min(r, request.speed);
       rate_sum += r;
 
       const double done_thr = kRelEps * alive_[i].size + kAbsEps;
@@ -267,11 +249,11 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
       dt = std::min(dt, instance.job(order[next_arrival]).release - now);
     }
     dt = std::min(dt, completion_dt);
-    if (std::isfinite(options.max_time)) {
-      if (now >= options.max_time) {
+    if (std::isfinite(request.max_time)) {
+      if (now >= request.max_time) {
         engine_fail("simulated clock passed max_time");
       }
-      dt = std::min(dt, options.max_time - now);
+      dt = std::min(dt, request.max_time - now);
     }
     if (!std::isfinite(dt)) {
       engine_fail("deadlock: policy " + std::string(policy.name()) +
@@ -307,7 +289,7 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
         epoch.attained = inv_att;
         inv_.check_epoch(epoch);
       }
-      if (options.record_trace) {
+      if (request.record_trace) {
         schedule.push_interval(now, now + dt, ids_, decision.rates);
         ++intervals_emitted;
       }
@@ -350,7 +332,7 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
     // diagnostic instead of silently burning max_steps.
     if (now > step_start || !completing_.empty() || admitted > 0) {
       zero_progress_streak = 0;
-    } else if (++zero_progress_streak >= options.max_zero_progress_steps) {
+    } else if (++zero_progress_streak >= kMaxZeroProgressSteps) {
       engine_fail(
           "livelock: " + std::to_string(zero_progress_streak) +
           " consecutive zero-progress steps (no clock advance, completion, "
@@ -363,7 +345,7 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
     }
   }
 
-  if (options.record_trace) schedule.finalize_trace();
+  if (request.record_trace) schedule.finalize_trace();
   finish_invariants();
 
   obs::add("engine.runs", 1);
@@ -371,35 +353,6 @@ Schedule EngineCore::run(const Instance& instance, Policy& policy,
   obs::add("engine.jobs", instance.n());
   obs::add("engine.trace_intervals", intervals_emitted);
   return schedule;
-}
-
-Schedule EngineCore::run(JobStream& stream, Policy& policy,
-                         const EngineOptions& options) {
-  if (options.machines < 1) {
-    throw std::invalid_argument("simulate: machines must be >= 1");
-  }
-  if (!(options.speed > 0.0) || !std::isfinite(options.speed)) {
-    throw std::invalid_argument("simulate: speed must be positive and finite");
-  }
-  if (options.hide_sizes && policy.clairvoyant()) {
-    throw std::invalid_argument("simulate: cannot hide sizes from clairvoyant policy " +
-                                std::string(policy.name()));
-  }
-  const FastForward ff = policy.fast_forward();
-  if (!options.use_fast_path || !ff.enabled()) {
-    throw std::invalid_argument(
-        "simulate: streaming runs require a FastForward-capable policy and "
-        "options.use_fast_path; materialize an Instance to run policy " +
-        std::string(policy.name()) + " on the generic loop");
-  }
-  policy.reset();
-  return fast_.run(stream, ff, options, policy.name(),
-                   policy.invariant_traits());
-}
-
-bool EngineCore::takes_fast_path(const Policy& policy,
-                                 const EngineOptions& options) const {
-  return options.use_fast_path && policy.fast_forward().enabled();
 }
 
 namespace {

@@ -10,9 +10,8 @@
 // Public entry point: the RunRequest/RunResult facade (`run(...)` below).
 // One request struct describes a run completely -- policy spec,
 // machine/speed configuration, safety valves -- and one result struct
-// carries everything a caller consumes, so the CLI tools and the bench
-// registry speak the same API.  The older EngineOptions overloads remain as
-// thin deprecated shims over the same cores.
+// carries everything a caller consumes, so the CLI tools, the bench
+// registry, the analyses and the tests all speak the same API.
 #pragma once
 
 #include <cstddef>
@@ -32,44 +31,12 @@
 
 namespace tempofair {
 
-struct EngineOptions {
-  int machines = 1;
-  /// Speed augmentation: each machine processes `speed` units of work per
-  /// unit time.  OPT is always measured at speed 1.
-  double speed = 1.0;
-  /// Record the full rate trace (needed by fairness + dual-fitting analyses).
-  bool record_trace = true;
-  /// Hide sizes from the policy (AliveJob::size/remaining = NaN).  Refused
-  /// for clairvoyant policies.
-  bool hide_sizes = false;
-  /// Safety valve: abort if the simulated clock passes this.
-  Time max_time = kInfiniteTime;
-  /// Safety valve: abort after this many engine iterations (guards against a
-  /// policy that returns pathological breakpoints).
-  std::size_t max_steps = 50'000'000;
-  /// Fail fast after this many consecutive iterations that make no progress
-  /// at all (clock did not advance, no completion, no arrival) -- e.g. a
-  /// policy whose breakpoint is too small to move the clock in floating
-  /// point.  Produces a livelock diagnostic instead of silently burning
-  /// max_steps.
-  std::size_t max_zero_progress_steps = 1000;
-  /// Route the run through the epoch-coalesced fast path when the policy
-  /// advertises a FastForward capability (see core/fast_forward.h).
-  /// Results are byte-identical to the generic event loop; disable to force
-  /// the generic loop, e.g. for equivalence testing.
-  bool use_fast_path = true;
-  /// Invariant checking mode (core/invariants.h).  The process default is
-  /// kSampled -- every invariant_sample_period'th epoch gets the full
-  /// checker battery, end-of-run checks always run -- overridable via the
-  /// TEMPOFAIR_INVARIANTS environment variable.  kExhaustive additionally
-  /// fails the run (std::runtime_error) on any violation.
-  InvariantMode invariants = default_invariant_mode();
-  std::size_t invariant_sample_period = default_invariant_sample_period();
-  /// When set, receives the run's InvariantStats (written before an
-  /// exhaustive-mode violation throws).  The facade wires this into
-  /// RunResult::invariants.  Must outlive the run.
-  InvariantStats* invariant_stats = nullptr;
-};
+/// Livelock guard: a run fails with a diagnostic after this many
+/// consecutive engine iterations that make no progress at all (the clock
+/// did not advance, no job completed, none arrived) -- e.g. a policy whose
+/// breakpoint is too small to move the clock in floating point -- instead
+/// of silently burning RunRequest::max_steps.
+inline constexpr std::size_t kMaxZeroProgressSteps = 1000;
 
 /// One simulation run, described completely.
 ///
@@ -96,24 +63,33 @@ struct RunRequest {
   /// Record the full rate trace (fairness + dual-fitting analyses need it;
   /// metrics-only runs can turn it off and skip the trace memory).
   bool record_trace = true;
-  /// Hide sizes from the policy; refused for clairvoyant policies.
+  /// Hide sizes from the policy (AliveJob::size/remaining = NaN); refused
+  /// for clairvoyant policies.
   bool hide_sizes = false;
+  /// Safety valve: abort if the simulated clock passes this.
   Time max_time = kInfiniteTime;
+  /// Safety valve: abort after this many engine iterations (guards against
+  /// a policy that returns pathological breakpoints).
   std::size_t max_steps = 50'000'000;
-  std::size_t max_zero_progress_steps = 1000;
+  /// Route the run through the epoch-coalesced fast path when the policy
+  /// advertises a FastForward capability (see core/fast_forward.h).
+  /// Results are byte-identical to the generic event loop; disable to force
+  /// the generic loop, e.g. for equivalence testing.
   bool use_fast_path = true;
   /// Invariant checking mode + sampling period (core/invariants.h); both
-  /// are set through the CLI flag vocabulary.
+  /// are set through the CLI flag vocabulary.  The process default is
+  /// kSampled -- every invariant_sample_period'th epoch gets the full
+  /// checker battery, end-of-run checks always run -- overridable via the
+  /// TEMPOFAIR_INVARIANTS environment variable.  kExhaustive additionally
+  /// fails the run (std::runtime_error) on any violation.
   InvariantMode invariants = default_invariant_mode();
   std::size_t invariant_sample_period = default_invariant_sample_period();
-
-  /// The equivalent legacy options struct.
-  [[nodiscard]] EngineOptions engine_options() const;
 };
 
 /// Everything one run produces: the schedule (completions + optional trace),
-/// the resolved policy name, ready-made flow statistics, and the engine wall
-/// time.  Analyses needing more than FlowStats read `schedule` directly.
+/// the resolved policy name, ready-made flow statistics and what the
+/// invariant layer saw.  Analyses needing more than FlowStats read
+/// `schedule` directly.
 struct RunResult {
   Schedule schedule;
   /// The policy that ran (resolved name, e.g. "laps:0.50" -> "laps").
@@ -123,11 +99,9 @@ struct RunResult {
   /// What the invariant layer observed (mode, epochs checked, violations,
   /// capped structured reports); see core/invariants.h.
   InvariantStats invariants;
-  /// Wall-clock seconds spent inside the engine.
-  double wall_seconds = 0.0;
 };
 
-/// The epoch-coalescing kernel behind EngineOptions::use_fast_path.
+/// The epoch-coalescing kernel behind RunRequest::use_fast_path.
 ///
 /// Resolves a whole run for a FastForward-capable policy without ever
 /// querying the policy: between consecutive arrivals the closed-form rule
@@ -139,26 +113,32 @@ struct RunResult {
 /// before min, identical completion thresholds), so completion times and
 /// the full trace are byte-identical to the generic path.
 ///
-/// Buffers persist across runs, like EngineCore's.  Not thread-safe.
+/// Buffers persist across runs, like EngineCore's.  Not thread-safe.  Only
+/// EngineCore runs it, after validating the request.
 class FastForwardCore {
- public:
+  friend class EngineCore;
+
+  /// Runs `instance` under the descriptor `ff` and hands the run's
+  /// invariant statistics back in `invariants`.
   [[nodiscard]] Schedule run(const Instance& instance, const FastForward& ff,
-                             const EngineOptions& options,
+                             const RunRequest& request,
                              std::string_view policy_name,
-                             const PolicyInvariantTraits& traits = {});
+                             const PolicyInvariantTraits& traits,
+                             InvariantStats& invariants);
   /// Streaming variant: admits arrivals straight from `stream` (see
   /// core/job_stream.h) so the run never materializes all n jobs at once.
   [[nodiscard]] Schedule run(JobStream& stream, const FastForward& ff,
-                             const EngineOptions& options,
+                             const RunRequest& request,
                              std::string_view policy_name,
-                             const PolicyInvariantTraits& traits = {});
+                             const PolicyInvariantTraits& traits,
+                             InvariantStats& invariants);
 
- private:
   template <typename Arrivals>
   Schedule run_impl(Arrivals& arrivals, Schedule schedule,
-                    const FastForward& ff, const EngineOptions& options,
+                    const FastForward& ff, const RunRequest& request,
                     std::string_view policy_name,
-                    const PolicyInvariantTraits& traits);
+                    const PolicyInvariantTraits& traits,
+                    InvariantStats& invariants);
 
   // Alive set: parallel arrays sorted by job id (trace rows want id order).
   // kUniformShare and the ranked kinds (kEqualAttained / kLevelPriority)
@@ -228,15 +208,16 @@ class FastForwardCore {
 /// Not thread-safe; use one EngineCore per thread.
 class EngineCore {
  public:
-  // --- RunRequest facade (preferred) ---------------------------------------
   /// Runs the request's policy spec on `instance`.  Throws
   /// std::invalid_argument for a bad request or unknown policy spec,
   /// std::runtime_error if the policy misbehaves (invalid rates, deadlock,
   /// livelock, step explosion).
   [[nodiscard]] RunResult run(const Instance& instance,
                               const RunRequest& request);
-  /// Streaming variant; requires a FastForward-capable policy spec and
-  /// request.use_fast_path (throws std::invalid_argument otherwise).
+  /// Streaming variant: jobs are pulled from `stream` in release order and
+  /// the instance is never materialized.  Requires a FastForward-capable
+  /// policy and request.use_fast_path (throws std::invalid_argument
+  /// otherwise); use workload::materialize(stream) for generic policies.
   [[nodiscard]] RunResult run(JobStream& stream, const RunRequest& request);
   /// As above with an explicit policy object (request.policy is ignored);
   /// for callers that construct parameterized policies directly.
@@ -245,25 +226,12 @@ class EngineCore {
   [[nodiscard]] RunResult run(JobStream& stream, Policy& policy,
                               const RunRequest& request);
 
-  // --- legacy entry points (deprecated shims over the facade) --------------
-  /// Runs `policy` on `instance` and returns the complete schedule.
-  /// Throws std::invalid_argument for bad options and std::runtime_error if
-  /// the policy misbehaves (invalid rates, deadlock, livelock, step
-  /// explosion).  Deprecated: prefer the RunRequest overloads.
-  [[nodiscard]] Schedule run(const Instance& instance, Policy& policy,
-                             const EngineOptions& options = {});
-
-  /// Streaming run: jobs are pulled from `stream` in release order and the
-  /// instance is never materialized.  Requires a FastForward-capable policy
-  /// and options.use_fast_path (throws std::invalid_argument otherwise);
-  /// use workload::materialize(stream) + run() for generic policies.
-  /// Deprecated: prefer the RunRequest overloads.
-  [[nodiscard]] Schedule run(JobStream& stream, Policy& policy,
-                             const EngineOptions& options = {});
-
  private:
-  [[nodiscard]] bool takes_fast_path(const Policy& policy,
-                                     const EngineOptions& options) const;
+  /// The generic event loop: queries the policy at every event.  Hands the
+  /// run's invariant statistics back in `invariants`.
+  [[nodiscard]] Schedule run_generic(const Instance& instance, Policy& policy,
+                                     const RunRequest& request,
+                                     InvariantStats& invariants);
   struct LiveJob {
     JobId id;
     Time release;
@@ -301,8 +269,8 @@ class EngineCore {
 
 /// Facade run with an explicit policy object (request.policy ignored).
 [[nodiscard]] RunResult run(const Instance& instance, Policy& policy,
-                            const RunRequest& request);
+                            const RunRequest& request = {});
 [[nodiscard]] RunResult run(JobStream& stream, Policy& policy,
-                            const RunRequest& request);
+                            const RunRequest& request = {});
 
 }  // namespace tempofair

@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/engine_fail.h"
 #include "core/share_rules.h"
 #include "core/simd.h"
 #include "obs/obs.h"
@@ -70,18 +71,7 @@ namespace tempofair {
 
 namespace {
 
-[[noreturn]] void engine_fail(const std::string& msg) {
-  throw std::runtime_error("tempofair::simulate: " + msg);
-}
-
-void validate_options(const EngineOptions& options) {
-  if (options.machines < 1) {
-    throw std::invalid_argument("simulate: machines must be >= 1");
-  }
-  if (!(options.speed > 0.0) || !std::isfinite(options.speed)) {
-    throw std::invalid_argument("simulate: speed must be positive and finite");
-  }
-}
+using detail::engine_fail;
 
 void validate_descriptor(const FastForward& ff, std::string_view policy_name) {
   switch (ff.kind) {
@@ -230,51 +220,50 @@ class StreamArrivals {
 }  // namespace
 
 Schedule FastForwardCore::run(const Instance& instance, const FastForward& ff,
-                              const EngineOptions& options,
+                              const RunRequest& request,
                               std::string_view policy_name,
-                              const PolicyInvariantTraits& traits) {
-  validate_options(options);
+                              const PolicyInvariantTraits& traits,
+                              InvariantStats& invariants) {
   validate_descriptor(ff, policy_name);
   InstanceArrivals arrivals(instance);
-  return run_impl(arrivals, Schedule(instance, options.machines, options.speed),
-                  ff, options, policy_name, traits);
+  return run_impl(arrivals, Schedule(instance, request.machines, request.speed),
+                  ff, request, policy_name, traits, invariants);
 }
 
 Schedule FastForwardCore::run(JobStream& stream, const FastForward& ff,
-                              const EngineOptions& options,
+                              const RunRequest& request,
                               std::string_view policy_name,
-                              const PolicyInvariantTraits& traits) {
-  validate_options(options);
+                              const PolicyInvariantTraits& traits,
+                              InvariantStats& invariants) {
   validate_descriptor(ff, policy_name);
   StreamArrivals arrivals(stream);
   return run_impl(arrivals,
-                  Schedule(arrivals.total(), options.machines, options.speed),
-                  ff, options, policy_name, traits);
+                  Schedule(arrivals.total(), request.machines, request.speed),
+                  ff, request, policy_name, traits, invariants);
 }
 
 template <typename Arrivals>
 Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
                                    const FastForward& ff,
-                                   const EngineOptions& options,
+                                   const RunRequest& request,
                                    std::string_view policy_name,
-                                   const PolicyInvariantTraits& traits) {
+                                   const PolicyInvariantTraits& traits,
+                                   InvariantStats& invariants) {
   obs::ScopedTimer run_timer("engine.run");
-  schedule.set_trace_recorded(options.record_trace);
+  schedule.set_trace_recorded(request.record_trace);
 
   const std::size_t total_jobs = arrivals.total();
 
   inv_.begin_run(
-      InvariantRunProfile{options.machines, options.speed,
+      InvariantRunProfile{request.machines, request.speed,
                           std::string(policy_name), traits},
-      options.invariants, options.invariant_sample_period, &schedule);
+      request.invariants, request.invariant_sample_period, &schedule);
   auto finish_invariants = [&] {
     inv_.finish();
-    if (options.invariant_stats != nullptr) {
-      *options.invariant_stats = inv_.stats();
-    }
-    if (options.invariants == InvariantMode::kExhaustive) {
+    if (request.invariants == InvariantMode::kExhaustive) {
       throw_if_violated(inv_.stats(), policy_name);
     }
+    invariants = inv_.stats();
   };
 
   if (arrivals.exhausted()) {
@@ -284,9 +273,9 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     return schedule;
   }
 
-  const int machines = options.machines;
-  const double speed = options.speed;
-  const bool trace = options.record_trace;
+  const int machines = request.machines;
+  const double speed = request.speed;
+  const bool trace = request.record_trace;
   const std::string name(policy_name);
   const FastForwardKind kind = ff.kind;
 
@@ -326,7 +315,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   const bool setf = kind == FastForwardKind::kEqualAttained;
   // kUniformShare and the ranked kinds keep their own primary layout; the
   // id-sorted alive list then exists purely to emit id-ordered trace rows.
-  const bool keep_ids = !(uniform || ranked) || options.record_trace;
+  const bool keep_ids = !(uniform || ranked) || request.record_trace;
   if (kind == FastForwardKind::kLevelPriority) {
     mlfq_thresholds_.reset(ff.mlfq_base, ff.mlfq_growth);
   }
@@ -452,8 +441,8 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   std::vector<double> wrates;  // kWeightedShare per-event rates, id order
 
   while (alive_count() > 0 || !arrivals.exhausted()) {
-    if (++steps > options.max_steps) {
-      engine_fail("exceeded max_steps=" + std::to_string(options.max_steps) +
+    if (++steps > request.max_steps) {
+      engine_fail("exceeded max_steps=" + std::to_string(request.max_steps) +
                   " with policy " + name);
     }
 
@@ -608,11 +597,11 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     if (!arrivals.exhausted()) {
       dt = std::min(dt, arrivals.peek_release() - now);
     }
-    if (std::isfinite(options.max_time)) {
-      if (now >= options.max_time) {
+    if (std::isfinite(request.max_time)) {
+      if (now >= request.max_time) {
         engine_fail("simulated clock passed max_time");
       }
-      dt = std::min(dt, options.max_time - now);
+      dt = std::min(dt, request.max_time - now);
     }
     if (!std::isfinite(dt)) {
       engine_fail("deadlock: policy " + name + " allocates zero rate to all " +
@@ -952,7 +941,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     // max_steps.
     if (now > step_start || !completing_.empty() || admitted > 0) {
       zero_progress_streak = 0;
-    } else if (++zero_progress_streak >= options.max_zero_progress_steps) {
+    } else if (++zero_progress_streak >= kMaxZeroProgressSteps) {
       engine_fail("livelock: " + std::to_string(zero_progress_streak) +
                   " consecutive zero-progress fast-path events (no clock "
                   "advance, completion, or arrival) with policy " +

@@ -11,7 +11,7 @@
 //
 // Non-clairvoyance: policies whose clairvoyant() is false must never read
 // AliveJob::size/remaining; the engine can enforce this by hiding them (NaN)
-// -- see EngineOptions::hide_sizes.  Round Robin is non-clairvoyant: it needs
+// -- see RunRequest::hide_sizes.  Round Robin is non-clairvoyant: it needs
 // nothing but the alive set.
 #pragma once
 

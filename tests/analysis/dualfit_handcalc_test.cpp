@@ -14,10 +14,10 @@ namespace {
 
 Schedule run_rr(const Instance& inst, double speed, int machines) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.speed = speed;
-  eo.machines = machines;
-  return EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.speed = speed;
+  req.machines = machines;
+  return run(inst, rr, req).schedule;
 }
 
 TEST(DualFitHandCalc, TwoUnitJobsOverloadedAlphas) {

@@ -31,18 +31,18 @@ namespace {
 
 Schedule run_rr(const Instance& inst, double speed, int machines = 1) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.speed = speed;
-  eo.machines = machines;
-  eo.record_trace = true;
-  return EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.speed = speed;
+  req.machines = machines;
+  req.record_trace = true;
+  return run(inst, rr, req).schedule;
 }
 
 TEST(DualFit, RequiresTrace) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule s = EngineCore().run(Instance::batch(std::vector<Work>{1.0}), rr, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule s = run(Instance::batch(std::vector<Work>{1.0}), rr, req).schedule;
   EXPECT_THROW((void)dual_fit_certificate(s, DualFitOptions{}),
                std::invalid_argument);
 }

@@ -61,7 +61,7 @@ class SlowStartPolicy final : public Policy {
 TEST(Breakpoints, PolicyIsRequeriedAtItsOwnCadence) {
   const Instance inst = Instance::batch(std::vector<Work>{1.0});
   ProbePolicy probe(0.25);
-  const Schedule s = EngineCore().run(inst, probe);
+  const Schedule s = run(inst, probe).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 1.0);
   // Queries at 0, 0.25, 0.5, 0.75 (completion lands exactly on the last step).
   ASSERT_GE(probe.query_times.size(), 4u);
@@ -73,7 +73,7 @@ TEST(Breakpoints, PolicyIsRequeriedAtItsOwnCadence) {
 TEST(Breakpoints, ZeroRateIntervalsAdvanceTimeWithoutWork) {
   const Instance inst = Instance::batch(std::vector<Work>{2.0});
   SlowStartPolicy slow(3.0);
-  const Schedule s = EngineCore().run(inst, slow);
+  const Schedule s = run(inst, slow).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 5.0);  // 3 idle + 2 work
   s.validate();                            // trace stays consistent
 }
@@ -84,7 +84,7 @@ TEST(Breakpoints, NoSwitchCostWhenContentionEnds) {
   // dead time is charged and job1 runs immediately.
   const Instance inst = Instance::batch(std::vector<Work>{1.0, 1.0});
   QuantumRoundRobin qrr(1.0, 0.5);
-  const Schedule s = EngineCore().run(inst, qrr);
+  const Schedule s = run(inst, qrr).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 1.0);
   EXPECT_DOUBLE_EQ(s.completion(1), 2.0);
 }
@@ -96,7 +96,7 @@ TEST(Breakpoints, ContextSwitchDeadTimeIsExact) {
   //   job0 [3,4] (completes), job1 [4,5] (alone, no further switches).
   const Instance inst = Instance::batch(std::vector<Work>{2.0, 2.0});
   QuantumRoundRobin qrr(1.0, 0.5);
-  const Schedule s = EngineCore().run(inst, qrr);
+  const Schedule s = run(inst, qrr).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 4.0);
   EXPECT_DOUBLE_EQ(s.completion(1), 5.0);
 }

@@ -35,9 +35,9 @@ TEST(JainIndex, ScaleInvariant) {
 
 TEST(FairnessReport, RequiresTrace) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule s = EngineCore().run(Instance::batch(std::vector<Work>{1.0}), rr, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule s = run(Instance::batch(std::vector<Work>{1.0}), rr, req).schedule;
   EXPECT_THROW((void)fairness_report(s), std::invalid_argument);
 }
 
@@ -46,7 +46,7 @@ TEST(FairnessReport, RoundRobinIsPerfectlyFair) {
   const Instance inst = workload::detail::poisson_load(
       50, 1, 0.9, workload::ExponentialSize{2.0}, rng);
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   const FairnessReport rep = fairness_report(s);
   EXPECT_NEAR(rep.jain_time_avg, 1.0, 1e-9);
   EXPECT_NEAR(rep.jain_min, 1.0, 1e-9);
@@ -60,7 +60,7 @@ TEST(FairnessReport, SrptStarvesUnderContention) {
   const Instance inst = workload::detail::poisson_load(
       50, 1, 0.95, workload::ExponentialSize{2.0}, rng);
   Srpt srpt;
-  const Schedule s = EngineCore().run(inst, srpt);
+  const Schedule s = run(inst, srpt).schedule;
   const FairnessReport rep = fairness_report(s);
   EXPECT_LT(rep.jain_time_avg, 1.0);
   EXPECT_GT(rep.max_service_lag, 0.0);
@@ -69,7 +69,7 @@ TEST(FairnessReport, SrptStarvesUnderContention) {
 
 TEST(FairnessReport, SingleJobIsTriviallyFair) {
   RoundRobin rr;
-  const Schedule s = EngineCore().run(Instance::batch(std::vector<Work>{3.0}), rr);
+  const Schedule s = run(Instance::batch(std::vector<Work>{3.0}), rr).schedule;
   const FairnessReport rep = fairness_report(s);
   EXPECT_DOUBLE_EQ(rep.jain_time_avg, 1.0);
   EXPECT_DOUBLE_EQ(rep.busy_time, 3.0);
@@ -79,7 +79,7 @@ TEST(FairnessReport, BusyTimeExcludesIdleGaps) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 1.0}, {10.0, 1.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   const FairnessReport rep = fairness_report(s);
   EXPECT_DOUBLE_EQ(rep.busy_time, 2.0);
 }
@@ -88,7 +88,7 @@ TEST(AliveCountCurve, TracksPopulation) {
   const Instance inst = Instance::from_pairs(
       std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {1.0, 2.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   const auto curve = alive_count_curve(s);
   ASSERT_GE(curve.size(), 3u);
   EXPECT_DOUBLE_EQ(curve.front().first, 0.0);
@@ -101,7 +101,7 @@ TEST(AliveCountCurve, MarksIdleGaps) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 1.0}, {5.0, 1.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   const auto curve = alive_count_curve(s);
   // 1 alive, 0 (gap), 1 alive, 0 (end).
   ASSERT_EQ(curve.size(), 4u);
@@ -113,9 +113,9 @@ TEST(AliveCountCurve, MarksIdleGaps) {
 
 TEST(FairnessReport, RequiresTraceForCurve) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule s = EngineCore().run(Instance::batch(std::vector<Work>{1.0}), rr, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule s = run(Instance::batch(std::vector<Work>{1.0}), rr, req).schedule;
   EXPECT_THROW((void)alive_count_curve(s), std::invalid_argument);
 }
 

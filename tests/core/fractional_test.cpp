@@ -14,11 +14,11 @@ namespace {
 
 TEST(FractionalFlow, RequiresTraceAndValidK) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule s = EngineCore().run(Instance::batch(std::vector<Work>{1.0}), rr, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule s = run(Instance::batch(std::vector<Work>{1.0}), rr, req).schedule;
   EXPECT_THROW((void)fractional_flow_power(s), std::invalid_argument);
-  const Schedule t = EngineCore().run(Instance::batch(std::vector<Work>{1.0}), rr);
+  const Schedule t = run(Instance::batch(std::vector<Work>{1.0}), rr).schedule;
   EXPECT_THROW((void)fractional_flow_power(t, 0.5), std::invalid_argument);
 }
 
@@ -27,7 +27,7 @@ TEST(FractionalFlow, SingleJobClosedForm) {
   // = int_0^p (p - t)/p dt = p/2.
   const Instance inst = Instance::batch(std::vector<Work>{4.0});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   const auto f = fractional_flow_power(s, 1.0);
   EXPECT_NEAR(f.per_job[0], 2.0, 1e-9);
   EXPECT_NEAR(f.total, 2.0, 1e-9);
@@ -37,7 +37,7 @@ TEST(FractionalFlow, SingleJobQuadraticCase) {
   // k = 2: int_0^p 2t (p-t)/p dt = p^2 - 2p^2/3 = p^2/3.
   const Instance inst = Instance::batch(std::vector<Work>{3.0});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   const auto f = fractional_flow_power(s, 2.0);
   EXPECT_NEAR(f.per_job[0], 3.0, 1e-9);  // 9/3
 }
@@ -49,10 +49,10 @@ TEST(FractionalFlow, AtMostIntegralFlowPower) {
   RoundRobin rr;
   Srpt srpt;
   for (double k : {1.0, 2.0, 3.0}) {
-    const Schedule a = EngineCore().run(inst, rr);
+    const Schedule a = run(inst, rr).schedule;
     const auto f = fractional_flow_power(a, k);
     EXPECT_LE(f.total, flow_lk_power(a, k) * (1.0 + 1e-9)) << "rr k=" << k;
-    const Schedule b = EngineCore().run(inst, srpt);
+    const Schedule b = run(inst, srpt).schedule;
     const auto g = fractional_flow_power(b, k);
     EXPECT_LE(g.total, flow_lk_power(b, k) * (1.0 + 1e-9)) << "srpt k=" << k;
     for (double v : f.per_job) EXPECT_GE(v, -1e-9);
@@ -66,9 +66,9 @@ TEST(FractionalFlow, SpeedReducesFractionalCost) {
   double prev = std::numeric_limits<double>::infinity();
   for (double speed : {1.0, 2.0, 4.0}) {
     RoundRobin rr;
-    EngineOptions eo;
-    eo.speed = speed;
-    const auto f = fractional_flow_power(EngineCore().run(inst, rr, eo), 2.0);
+    RunRequest req;
+    req.speed = speed;
+    const auto f = fractional_flow_power(run(inst, rr, req).schedule, 2.0);
     EXPECT_LT(f.total, prev);
     prev = f.total;
   }
@@ -88,7 +88,7 @@ TEST(FractionalFlow, LpLowerBoundsFractionalCostDirectly) {
   const double lp = lpsolve::solve_flowtime_lp(inst, opt).lp_value;
 
   Srpt srpt;
-  const Schedule s = EngineCore().run(inst, srpt);
+  const Schedule s = run(inst, srpt).schedule;
   const auto frac = fractional_flow_power(s, 2.0);
   double size_power = 0.0;
   for (const Job& j : inst.jobs()) size_power += j.size * j.size;

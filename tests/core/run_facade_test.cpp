@@ -1,6 +1,7 @@
-// The RunRequest/RunResult facade: equivalence with the deprecated
-// EngineCore().run() shims and JobStream edge cases driven through run()
-// (empty stream, simultaneous arrivals, out-of-order rejection).
+// The RunRequest/RunResult facade: spec-string and policy-object runs agree
+// bit for bit, every RunRequest field reaches the engine, the per-thread
+// core reuse is invisible, and JobStream edge cases driven through run()
+// (empty stream, simultaneous arrivals, out-of-order rejection) hold.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +13,7 @@
 
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "obs/obs.h"
 #include "policies/registry.h"
 #include "policies/round_robin.h"
 #include "workload/generators.h"
@@ -27,19 +29,64 @@ Instance small_instance() {
                                 rng);
 }
 
+/// Bit-for-bit equality of two run results: completions, the trace, the
+/// flow statistics and what the invariant layer saw.
+void expect_same_run(const RunResult& got, const RunResult& want,
+                     const std::string& label) {
+  SCOPED_TRACE(label);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(got.policy, want.policy);
+  ASSERT_EQ(got.schedule.n(), want.schedule.n());
+  for (JobId j = 0; j < got.schedule.n(); ++j) {
+    ASSERT_EQ(bits(got.schedule.completion(j)), bits(want.schedule.completion(j)))
+        << "job " << j;
+  }
+  ASSERT_EQ(got.schedule.has_trace(), want.schedule.has_trace());
+  const TraceArena& gt = got.schedule.trace();
+  const TraceArena& wt = want.schedule.trace();
+  ASSERT_EQ(gt.size(), wt.size());
+  EXPECT_EQ(got.schedule.trace_memory_bytes(), want.schedule.trace_memory_bytes());
+  for (std::size_t i = 0; i < gt.size(); ++i) {
+    const TraceIntervalView a = gt[i];
+    const TraceIntervalView b = wt[i];
+    ASSERT_EQ(bits(a.begin()), bits(b.begin())) << "interval " << i;
+    ASSERT_EQ(bits(a.end()), bits(b.end())) << "interval " << i;
+    ASSERT_EQ(a.alive_count(), b.alive_count()) << "interval " << i;
+    for (std::size_t k = 0; k < a.alive_count(); ++k) {
+      ASSERT_EQ(a.job(k), b.job(k)) << "interval " << i;
+      ASSERT_EQ(bits(a.rate(k)), bits(b.rate(k))) << "interval " << i;
+    }
+  }
+  const FlowStats& gs = got.stats;
+  const FlowStats& ws = want.stats;
+  EXPECT_EQ(gs.n, ws.n);
+  for (const auto& [g, w] :
+       {std::pair{gs.l1, ws.l1}, {gs.l2, ws.l2}, {gs.l3, ws.l3},
+        {gs.linf, ws.linf}, {gs.mean, ws.mean}, {gs.variance, ws.variance},
+        {gs.stddev, ws.stddev}, {gs.p50, ws.p50}, {gs.p95, ws.p95},
+        {gs.p99, ws.p99}}) {
+    EXPECT_EQ(bits(g), bits(w));
+  }
+  const InvariantStats& gi = got.invariants;
+  const InvariantStats& wi = want.invariants;
+  EXPECT_EQ(gi.mode, wi.mode);
+  EXPECT_EQ(gi.epochs_seen, wi.epochs_seen);
+  EXPECT_EQ(gi.epochs_checked, wi.epochs_checked);
+  EXPECT_EQ(gi.checks_run, wi.checks_run);
+  EXPECT_EQ(gi.violations, wi.violations);
+  EXPECT_EQ(gi.reports.size(), wi.reports.size());
+}
+
 TEST(RunFacade, MatchesSimulateShimBitwise) {
+  // A policy named by spec string and the same policy passed as an object
+  // run the same engine: same schedule and trace, bit for bit.
   const Instance inst = small_instance();
   RunRequest req;
   req.policy = "rr";
   req.speed = 2.0;
-  const RunResult result = run(inst, req);
-
+  const RunResult by_spec = run(inst, req);
   RoundRobin rr;
-  const Schedule legacy = EngineCore().run(inst, rr, req.engine_options());
-  ASSERT_EQ(result.schedule.n(), legacy.n());
-  for (JobId j = 0; j < inst.n(); ++j) {
-    EXPECT_EQ(result.schedule.completion(j), legacy.completion(j)) << j;
-  }
+  expect_same_run(run(inst, rr, req), by_spec, "rr object vs spec");
 }
 
 TEST(RunFacade, ResolvesPolicyNameAndStats) {
@@ -48,7 +95,6 @@ TEST(RunFacade, ResolvesPolicyNameAndStats) {
   req.policy = "srpt";
   const RunResult result = run(inst, req);
   EXPECT_EQ(result.policy, "srpt");
-  EXPECT_GE(result.wall_seconds, 0.0);
   const FlowStats direct = flow_stats(result.schedule);
   EXPECT_EQ(result.stats.n, direct.n);
   EXPECT_EQ(result.stats.l1, direct.l1);
@@ -63,29 +109,75 @@ TEST(RunFacade, RejectsUnknownPolicySpec) {
 }
 
 TEST(RunFacade, EngineOptionsMirrorRequest) {
+  // Every RunRequest field reaches the engine: each one set on its own
+  // changes what the run does or reports -- except `workload`, which only
+  // names a workload for workload::run_spec and which the engine ignores.
+  const Instance two = Instance::batch(std::vector<Work>{1.0, 1.0});
+  const Instance inst = small_instance();
+  const RunResult base = run(two, RunRequest{});
+  EXPECT_EQ(base.schedule.completion(0), 2.0);
+  ASSERT_TRUE(base.schedule.has_trace());
+
   RunRequest req;
-  req.machines = 3;
-  req.speed = 1.5;
+  req.policy = "srpt";  // SRPT finishes one unit job first; RR shares
+  EXPECT_EQ(run(two, req).policy, "srpt");
+  EXPECT_EQ(run(two, req).schedule.completion(0), 1.0);
+
+  req = {};
+  req.workload = "poisson:n=5";  // names a workload; the engine ignores it
+  expect_same_run(run(two, req), base, "workload");
+
+  req = {};
+  req.machines = 2;
+  EXPECT_EQ(run(two, req).schedule.completion(0), 1.0);
+
+  req = {};
+  req.speed = 4.0;
+  EXPECT_EQ(run(two, req).schedule.completion(0), 0.5);
+
+  req = {};
   req.record_trace = false;
-  req.hide_sizes = true;
-  req.max_time = 40.0;
-  req.max_steps = 123;
-  req.max_zero_progress_steps = 7;
+  EXPECT_FALSE(run(two, req).schedule.has_trace());
+
+  req = {};
+  req.hide_sizes = true;  // fine for RR, refused for a clairvoyant policy
+  expect_same_run(run(two, req), base, "hide_sizes rr");
+  req.policy = "srpt";
+  EXPECT_THROW((void)run(two, req), std::invalid_argument);
+
+  req = {};
+  req.max_time = 0.5;  // the jobs need 2.0
+  EXPECT_THROW((void)run(two, req), std::runtime_error);
+
+  req = {};
+  req.max_steps = 1;
+  EXPECT_THROW((void)run(inst, req), std::runtime_error);
+
+  req = {};
   req.use_fast_path = false;
+  obs::Sink sink;
+  {
+    const obs::ScopedSink scope(&sink);
+    expect_same_run(run(inst, req), run(inst, RunRequest{}), "use_fast_path");
+  }
+  EXPECT_EQ(sink.value("engine.runs"), 2u);
+  EXPECT_EQ(sink.value(obs_counters::kFastForwardRuns), 1u);
+
+  req = {};
+  req.invariants = InvariantMode::kOff;
+  EXPECT_EQ(run(inst, req).invariants.mode, InvariantMode::kOff);
+  EXPECT_EQ(run(inst, req).invariants.checks_run, 0u);
   req.invariants = InvariantMode::kExhaustive;
+  const InvariantStats all = run(inst, req).invariants;
+  EXPECT_EQ(all.mode, InvariantMode::kExhaustive);
+  EXPECT_GT(all.epochs_seen, 10u);
+  EXPECT_EQ(all.epochs_checked, all.epochs_seen);
+  req.invariants = InvariantMode::kSampled;
   req.invariant_sample_period = 5;
-  const EngineOptions eo = req.engine_options();
-  EXPECT_EQ(eo.machines, req.machines);
-  EXPECT_EQ(eo.speed, req.speed);
-  EXPECT_EQ(eo.record_trace, req.record_trace);
-  EXPECT_EQ(eo.hide_sizes, req.hide_sizes);
-  EXPECT_EQ(eo.max_time, req.max_time);
-  EXPECT_EQ(eo.max_steps, req.max_steps);
-  EXPECT_EQ(eo.max_zero_progress_steps, req.max_zero_progress_steps);
-  EXPECT_EQ(eo.use_fast_path, req.use_fast_path);
-  EXPECT_EQ(eo.invariants, req.invariants);
-  EXPECT_EQ(eo.invariant_sample_period, req.invariant_sample_period);
-  EXPECT_EQ(eo.invariant_stats, nullptr);
+  const InvariantStats sampled = run(inst, req).invariants;
+  EXPECT_EQ(sampled.mode, InvariantMode::kSampled);
+  EXPECT_EQ(sampled.epochs_seen, all.epochs_seen);
+  EXPECT_EQ(sampled.epochs_checked, all.epochs_seen / 5);
 }
 
 // --- JobStream edge cases through the facade --------------------------------
@@ -159,54 +251,6 @@ TEST(RunFacade, StreamingRequiresFastPathCapablePolicy) {
 }
 
 // --- the run() facades reuse one EngineCore per thread ----------------------
-
-/// Bit-for-bit equality of two run results: completions, the trace, the
-/// flow statistics and what the invariant layer saw.
-void expect_same_run(const RunResult& got, const RunResult& want,
-                     const std::string& label) {
-  SCOPED_TRACE(label);
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  EXPECT_EQ(got.policy, want.policy);
-  ASSERT_EQ(got.schedule.n(), want.schedule.n());
-  for (JobId j = 0; j < got.schedule.n(); ++j) {
-    ASSERT_EQ(bits(got.schedule.completion(j)), bits(want.schedule.completion(j)))
-        << "job " << j;
-  }
-  ASSERT_EQ(got.schedule.has_trace(), want.schedule.has_trace());
-  const TraceArena& gt = got.schedule.trace();
-  const TraceArena& wt = want.schedule.trace();
-  ASSERT_EQ(gt.size(), wt.size());
-  EXPECT_EQ(got.schedule.trace_memory_bytes(), want.schedule.trace_memory_bytes());
-  for (std::size_t i = 0; i < gt.size(); ++i) {
-    const TraceIntervalView a = gt[i];
-    const TraceIntervalView b = wt[i];
-    ASSERT_EQ(bits(a.begin()), bits(b.begin())) << "interval " << i;
-    ASSERT_EQ(bits(a.end()), bits(b.end())) << "interval " << i;
-    ASSERT_EQ(a.alive_count(), b.alive_count()) << "interval " << i;
-    for (std::size_t k = 0; k < a.alive_count(); ++k) {
-      ASSERT_EQ(a.job(k), b.job(k)) << "interval " << i;
-      ASSERT_EQ(bits(a.rate(k)), bits(b.rate(k))) << "interval " << i;
-    }
-  }
-  const FlowStats& gs = got.stats;
-  const FlowStats& ws = want.stats;
-  EXPECT_EQ(gs.n, ws.n);
-  for (const auto& [g, w] :
-       {std::pair{gs.l1, ws.l1}, {gs.l2, ws.l2}, {gs.l3, ws.l3},
-        {gs.linf, ws.linf}, {gs.mean, ws.mean}, {gs.variance, ws.variance},
-        {gs.stddev, ws.stddev}, {gs.p50, ws.p50}, {gs.p95, ws.p95},
-        {gs.p99, ws.p99}}) {
-    EXPECT_EQ(bits(g), bits(w));
-  }
-  const InvariantStats& gi = got.invariants;
-  const InvariantStats& wi = want.invariants;
-  EXPECT_EQ(gi.mode, wi.mode);
-  EXPECT_EQ(gi.epochs_seen, wi.epochs_seen);
-  EXPECT_EQ(gi.epochs_checked, wi.epochs_checked);
-  EXPECT_EQ(gi.checks_run, wi.checks_run);
-  EXPECT_EQ(gi.violations, wi.violations);
-  EXPECT_EQ(gi.reports.size(), wi.reports.size());
-}
 
 TEST(RunFacade, BackToBackRunsMatchAFreshCore) {
   // One thread, many run() calls: every result must equal what a fresh

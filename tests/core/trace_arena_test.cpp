@@ -85,7 +85,7 @@ TEST(JobTraceView, InterleavedArrivalsUnderRr) {
   const Instance inst = Instance::from_pairs(
       std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {1.0, 2.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
 
   const JobTraceView v0 = s.job_trace(0);
   ASSERT_EQ(v0.size(), 2u);
@@ -138,7 +138,7 @@ TEST(TraceArena, EveryRrIntervalIsUniformCompressed) {
   const Instance inst = workload::detail::poisson_load(
       80, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   for (const TraceIntervalView iv : s.trace()) {
     EXPECT_TRUE(iv.uniform_rate());
   }
@@ -327,10 +327,10 @@ TEST(TraceArena, CopyMoveAndSelfAssignmentOfTracedSchedule) {
   const Instance inst = workload::detail::poisson_load(
       400, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 2;
-  eo.record_trace = true;
-  Schedule original = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 2;
+  req.record_trace = true;
+  Schedule original = run(inst, rr, req).schedule;
   const std::vector<AosInterval> want = materialize(original.trace());
   ASSERT_GT(want.size(), 100u);
   const std::size_t bytes = original.trace_memory_bytes();
@@ -355,8 +355,9 @@ TEST(TraceArena, CopyMoveAndSelfAssignmentOfTracedSchedule) {
   copy = original;  // a moved-from schedule can be assigned again
   expect_same_trace(copy.trace(), want);
 
-  Schedule target = EngineCore().run(
-      Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 1.0}}), rr);
+  Schedule target =
+      run(Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 1.0}}), rr)
+          .schedule;
   target = std::move(original);
   expect_same_trace(target.trace(), want);
   EXPECT_EQ(target.trace_memory_bytes(), bytes);
@@ -374,9 +375,9 @@ class ArenaEquivalence : public ::testing::Test {
     inst_ = workload::detail::poisson_load(300, 1, 0.9,
                                    workload::ExponentialSize{1.5}, rng);
     RoundRobin rr;
-    EngineOptions eo;
-    eo.record_trace = true;
-    sched_ = EngineCore().run(inst_, rr, eo);
+    RunRequest req;
+    req.record_trace = true;
+    sched_ = run(inst_, rr, req).schedule;
     aos_ = materialize(sched_->trace());
   }
 
@@ -614,11 +615,11 @@ TEST(ArenaEquivalenceMultiMachine, DualFitAndWorkMatchReference) {
   const Instance inst = workload::detail::poisson_load(
       200, 3, 1.1, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 3;
-  eo.speed = 2.0;
-  eo.record_trace = true;
-  const Schedule s = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 3;
+  req.speed = 2.0;
+  req.record_trace = true;
+  const Schedule s = run(inst, rr, req).schedule;
   const std::vector<AosInterval> aos = materialize(s.trace());
 
   analysis::DualFitOptions opt;

@@ -16,7 +16,7 @@ TEST(TraceStructure, RrStaircaseHandComputed) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {1.0, 2.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   ASSERT_EQ(s.trace().size(), 3u);
 
   const TraceIntervalView a = s.trace()[0];
@@ -45,9 +45,9 @@ TEST(TraceStructure, IntervalsTileWithoutOverlap) {
   const Instance inst = workload::detail::poisson_load(
       60, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 2;
-  const Schedule s = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 2;
+  const Schedule s = run(inst, rr, req).schedule;
   Time prev_end = -1.0;
   for (const TraceIntervalView iv : s.trace()) {
     EXPECT_LT(iv.begin(), iv.end());
@@ -62,7 +62,7 @@ TEST(TraceStructure, AliveSetMatchesLifespans) {
   const Instance inst = workload::detail::poisson_load(
       40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   for (const TraceIntervalView iv : s.trace()) {
     for (const RateShare share : iv.shares()) {
       EXPECT_GE(iv.begin(), s.release(share.job) - 1e-9);
@@ -88,7 +88,7 @@ TEST(TraceStructure, AttainedServiceReconstructsFlows) {
   const Instance inst = workload::detail::poisson_load(
       30, 1, 0.85, workload::ExponentialSize{2.0}, rng);
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr).schedule;
   std::vector<double> attained(inst.n(), 0.0);
   for (const TraceIntervalView iv : s.trace()) {
     for (const RateShare share : iv.shares()) {

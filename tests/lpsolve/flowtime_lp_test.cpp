@@ -59,9 +59,9 @@ TEST(FlowtimeLp, LowerBoundsActualSchedules) {
     opt.slot = 0.5;
     const auto r = solve_flowtime_lp(inst, opt);
     Srpt srpt;
-    EngineOptions eo;
-    eo.record_trace = false;
-    const double srpt_cost = flow_lk_power(EngineCore().run(inst, srpt, eo), k);
+    RunRequest req;
+    req.record_trace = false;
+    const double srpt_cost = flow_lk_power(run(inst, srpt, req).schedule, k);
     EXPECT_LE(r.opt_power_lb, srpt_cost * (1.0 + 1e-9)) << "k=" << k;
     EXPECT_GT(r.opt_power_lb, 0.0);
   }

@@ -55,9 +55,9 @@ TEST(OptBounds, ProxyBoundsAnyPolicyFromBelow) {
   opt.with_lp = false;
   const OptBounds b = opt_bounds(inst, opt);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double rr_cost = flow_lk_power(EngineCore().run(inst, rr, eo), 1.0);
+  RunRequest req;
+  req.record_trace = false;
+  const double rr_cost = flow_lk_power(run(inst, rr, req).schedule, 1.0);
   EXPECT_LE(b.proxy_ub, rr_cost * (1.0 + 1e-9));
 }
 

@@ -251,7 +251,7 @@ TEST(EngineCounters, RecordedPerRun) {
     const std::vector<std::pair<Time, Work>> jobs{{0.0, 1.0}, {0.5, 2.0}};
     const Instance inst = Instance::from_pairs(jobs);
     RoundRobin rr;
-    (void)EngineCore().run(inst, rr);
+    (void)run(inst, rr);
   }
   EXPECT_EQ(sink.value("engine.runs"), 1u);
   EXPECT_EQ(sink.value("engine.jobs"), 2u);

@@ -70,7 +70,7 @@ TEST(ParSim, EquiMatchesCoreRoundRobinOnAllParallelJobs) {
     core_jobs.push_back(Job{static_cast<JobId>(i), releases[i], works[i]});
   }
   RoundRobin rr;
-  const Schedule cs = EngineCore().run(Instance::from_jobs(std::move(core_jobs)), rr);
+  const Schedule cs = run(Instance::from_jobs(std::move(core_jobs)), rr).schedule;
   for (JobId j = 0; j < 3; ++j) {
     EXPECT_NEAR(ps.completion[j], cs.completion(j), 1e-9) << "job " << j;
   }

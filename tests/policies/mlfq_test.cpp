@@ -119,7 +119,7 @@ TEST(Mlfq, NewArrivalPreemptsDemotedJob) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 10.0}, {2.0, 0.5}});
   Mlfq mlfq(1.0, 2.0);
-  const Schedule s = EngineCore().run(inst, mlfq);
+  const Schedule s = run(inst, mlfq).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 2.5);
   EXPECT_DOUBLE_EQ(s.completion(0), 10.5);
 }
@@ -131,11 +131,14 @@ TEST(Mlfq, IsNonClairvoyantAndDeterministic) {
   const Instance inst = workload::detail::poisson_load(
       40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
   Mlfq a(1.0, 2.0), b(1.0, 2.0);
-  EngineOptions open;
-  EngineOptions hidden;
+  RunRequest open;
+  RunRequest hidden;
   hidden.hide_sizes = true;
-  const Schedule sa = EngineCore().run(inst, a, open);
-  const Schedule sb = EngineCore().run(inst, b, hidden);
+  // The fast path never reads sizes; the generic loop is where the
+  // policy's own rates() sees the hidden (NaN) sizes.
+  hidden.use_fast_path = false;
+  const Schedule sa = run(inst, a, open).schedule;
+  const Schedule sb = run(inst, b, hidden).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(sa.completion(j), sb.completion(j), 1e-9);
   }
@@ -150,10 +153,10 @@ TEST(Mlfq, BeatsRoundRobinOnBigJobPlusStreamL1) {
   const Instance inst = Instance::from_pairs(pairs);
   Mlfq mlfq(1.0, 2.0);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  EXPECT_LT(flow_lk_norm(EngineCore().run(inst, mlfq, eo), 1.0),
-            flow_lk_norm(EngineCore().run(inst, rr, eo), 1.0));
+  RunRequest req;
+  req.record_trace = false;
+  EXPECT_LT(flow_lk_norm(run(inst, mlfq, req).schedule, 1.0),
+            flow_lk_norm(run(inst, rr, req).schedule, 1.0));
 }
 
 TEST(Mlfq, CompletesOnMultipleMachines) {
@@ -161,9 +164,9 @@ TEST(Mlfq, CompletesOnMultipleMachines) {
   const Instance inst = workload::detail::poisson_load(
       50, 4, 0.9, workload::ExponentialSize{1.0}, rng);
   Mlfq mlfq(0.5, 2.0);
-  EngineOptions eo;
-  eo.machines = 4;
-  const Schedule s = EngineCore().run(inst, mlfq, eo);
+  RunRequest req;
+  req.machines = 4;
+  const Schedule s = run(inst, mlfq, req).schedule;
   s.validate();
 }
 

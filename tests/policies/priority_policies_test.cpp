@@ -23,7 +23,7 @@ namespace {
 TEST(Srpt, RunsShortestRemainingFirst) {
   const Instance inst = Instance::batch(std::vector<Work>{3.0, 1.0, 2.0});
   Srpt srpt;
-  const Schedule s = EngineCore().run(inst, srpt);
+  const Schedule s = run(inst, srpt).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 1.0);
   EXPECT_DOUBLE_EQ(s.completion(2), 3.0);
   EXPECT_DOUBLE_EQ(s.completion(0), 6.0);
@@ -33,7 +33,7 @@ TEST(Srpt, PreemptsOnShorterArrival) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 4.0}, {1.0, 1.0}});
   Srpt srpt;
-  const Schedule s = EngineCore().run(inst, srpt);
+  const Schedule s = run(inst, srpt).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 2.0);  // preempts job 0 (3 remaining)
   EXPECT_DOUBLE_EQ(s.completion(0), 5.0);
 }
@@ -42,7 +42,7 @@ TEST(Srpt, DoesNotPreemptWhenRemainingIsSmaller) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 4.0}, {3.5, 1.0}});
   Srpt srpt;
-  const Schedule s = EngineCore().run(inst, srpt);
+  const Schedule s = run(inst, srpt).schedule;
   // Job 0 has 0.5 remaining when job 1 (size 1) arrives: job 0 keeps running.
   EXPECT_DOUBLE_EQ(s.completion(0), 4.0);
   EXPECT_DOUBLE_EQ(s.completion(1), 5.0);
@@ -55,25 +55,25 @@ TEST(Srpt, IsOptimalForTotalFlowOnSingleMachine) {
   for (int trial = 0; trial < 10; ++trial) {
     const Instance inst = workload::detail::poisson_load(
         40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
-    EngineOptions eo;
-    eo.record_trace = false;
+    RunRequest req;
+    req.record_trace = false;
     Srpt srpt;
-    const double srpt_l1 = flow_lk_norm(EngineCore().run(inst, srpt, eo), 1.0);
+    const double srpt_l1 = flow_lk_norm(run(inst, srpt, req).schedule, 1.0);
     RoundRobin rr;
     Sjf sjf;
     Fcfs fcfs;
-    EXPECT_GE(flow_lk_norm(EngineCore().run(inst, rr, eo), 1.0), srpt_l1 - 1e-6);
-    EXPECT_GE(flow_lk_norm(EngineCore().run(inst, sjf, eo), 1.0), srpt_l1 - 1e-6);
-    EXPECT_GE(flow_lk_norm(EngineCore().run(inst, fcfs, eo), 1.0), srpt_l1 - 1e-6);
+    EXPECT_GE(flow_lk_norm(run(inst, rr, req).schedule, 1.0), srpt_l1 - 1e-6);
+    EXPECT_GE(flow_lk_norm(run(inst, sjf, req).schedule, 1.0), srpt_l1 - 1e-6);
+    EXPECT_GE(flow_lk_norm(run(inst, fcfs, req).schedule, 1.0), srpt_l1 - 1e-6);
   }
 }
 
 TEST(Srpt, UsesAllMachines) {
   const Instance inst = Instance::batch(std::vector<Work>{2.0, 2.0, 2.0, 2.0});
   Srpt srpt;
-  EngineOptions eo;
-  eo.machines = 2;
-  const Schedule s = EngineCore().run(inst, srpt, eo);
+  RunRequest req;
+  req.machines = 2;
+  const Schedule s = run(inst, srpt, req).schedule;
   // 2 jobs at a time: first two done at 2, next two at 4.
   std::vector<double> cs;
   for (JobId j = 0; j < 4; ++j) cs.push_back(s.completion(j));
@@ -97,7 +97,7 @@ TEST(Sjf, OrdersByOriginalSizeNotRemaining) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 3.0}, {2.5, 2.5}});
   Sjf sjf;
-  const Schedule s = EngineCore().run(inst, sjf);
+  const Schedule s = run(inst, sjf).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 5.0);   // runs 2.5 .. 5.0
   EXPECT_DOUBLE_EQ(s.completion(0), 5.5);   // resumes after
 }
@@ -107,8 +107,8 @@ TEST(Sjf, SrptAndSjfAgreeOnBatch) {
   const Instance inst = Instance::batch(std::vector<Work>{5.0, 1.0, 3.0});
   Sjf sjf;
   Srpt srpt;
-  const Schedule a = EngineCore().run(inst, sjf);
-  const Schedule b = EngineCore().run(inst, srpt);
+  const Schedule a = run(inst, sjf).schedule;
+  const Schedule b = run(inst, srpt).schedule;
   for (JobId j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(a.completion(j), b.completion(j));
 }
 
@@ -118,7 +118,7 @@ TEST(Fcfs, ServesInArrivalOrder) {
   const Instance inst = Instance::from_pairs(
       std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {0.5, 1.0}, {0.7, 1.0}});
   Fcfs fcfs;
-  const Schedule s = EngineCore().run(inst, fcfs);
+  const Schedule s = run(inst, fcfs).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 2.0);
   EXPECT_DOUBLE_EQ(s.completion(1), 3.0);
   EXPECT_DOUBLE_EQ(s.completion(2), 4.0);
@@ -131,10 +131,13 @@ TEST(Fcfs, IsNonClairvoyant) {
   const Instance inst = workload::detail::poisson_load(
       30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   Fcfs open, blind;
-  EngineOptions ho;
-  ho.hide_sizes = true;
-  const Schedule a = EngineCore().run(inst, open);
-  const Schedule b = EngineCore().run(inst, blind, ho);
+  RunRequest hidden;
+  hidden.hide_sizes = true;
+  // The fast path never reads sizes; the generic loop is where the
+  // policy's own rates() sees the hidden (NaN) sizes.
+  hidden.use_fast_path = false;
+  const Schedule a = run(inst, open).schedule;
+  const Schedule b = run(inst, blind, hidden).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_DOUBLE_EQ(a.completion(j), b.completion(j));
   }
@@ -148,10 +151,10 @@ TEST(Fcfs, HeadOfLineBlockingHurtsFlow) {
   const Instance inst = Instance::from_pairs(pairs);
   Fcfs fcfs;
   Srpt srpt;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double f = flow_lk_norm(EngineCore().run(inst, fcfs, eo), 1.0);
-  const double s = flow_lk_norm(EngineCore().run(inst, srpt, eo), 1.0);
+  RunRequest req;
+  req.record_trace = false;
+  const double f = flow_lk_norm(run(inst, fcfs, req).schedule, 1.0);
+  const double s = flow_lk_norm(run(inst, srpt, req).schedule, 1.0);
   EXPECT_GT(f, 5.0 * s);
 }
 
@@ -169,10 +172,10 @@ TEST(Laps, BetaOneIsRoundRobin) {
       40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   Laps laps(1.0);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule a = EngineCore().run(inst, laps, eo);
-  const Schedule b = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule a = run(inst, laps, req).schedule;
+  const Schedule b = run(inst, rr, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-7);
   }
@@ -184,7 +187,7 @@ TEST(Laps, SmallBetaFavorsLatestArrival) {
   const Instance inst = Instance::from_pairs(
       std::vector<std::pair<Time, Work>>{{0.0, 10.0}, {0.0, 10.0}, {1.0, 1.0}});
   Laps laps(0.3);  // ceil(0.3 * 3) = 1 job served
-  const Schedule s = EngineCore().run(inst, laps);
+  const Schedule s = run(inst, laps).schedule;
   EXPECT_DOUBLE_EQ(s.completion(2), 2.0);
 }
 

@@ -86,7 +86,7 @@ TEST(Registry, EveryBuiltinSimulatesACommonInstance) {
       {0.0, 2.0}, {0.5, 1.0}, {1.0, 3.0}, {4.0, 0.5}});
   for (const std::string& spec : builtin_policy_specs()) {
     const auto p = make_policy(spec);
-    const Schedule s = EngineCore().run(inst, *p);
+    const Schedule s = run(inst, *p).schedule;
     EXPECT_NO_THROW(s.validate()) << spec;
   }
 }

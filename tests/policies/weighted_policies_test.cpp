@@ -25,7 +25,7 @@ TEST(Hdf, RunsHighestDensityFirst) {
   const Instance inst =
       weighted_batch({{4.0, 1.0}, {3.0, 3.0}, {2.0, 1.0}});
   Hdf hdf;
-  const Schedule s = EngineCore().run(inst, hdf);
+  const Schedule s = run(inst, hdf).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 3.0);
   EXPECT_DOUBLE_EQ(s.completion(2), 5.0);
   EXPECT_DOUBLE_EQ(s.completion(0), 9.0);
@@ -38,10 +38,10 @@ TEST(Hdf, EqualWeightsReduceToSjf) {
       40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
   Hdf hdf;
   Sjf sjf;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule a = EngineCore().run(inst, hdf, eo);
-  const Schedule b = EngineCore().run(inst, sjf, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule a = run(inst, hdf, req).schedule;
+  const Schedule b = run(inst, sjf, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-9);
   }
@@ -52,16 +52,16 @@ TEST(Hdf, MinimizesWeightedL1AmongTestedPolicies) {
   Instance inst = workload::detail::poisson_load(
       50, 1, 0.9, workload::ExponentialSize{1.5}, rng);
   inst = workload::with_weights(inst, workload::WeightScheme::kRandom, rng);
-  EngineOptions eo;
-  eo.record_trace = false;
+  RunRequest req;
+  req.record_trace = false;
   Hdf hdf;
   Hrdf hrdf;
   RoundRobin rr;
   WeightProportionalRoundRobin wprr;
-  const double hdf_cost = weighted_flow_lk_power(EngineCore().run(inst, hdf, eo), 1.0);
-  const double hrdf_cost = weighted_flow_lk_power(EngineCore().run(inst, hrdf, eo), 1.0);
-  const double rr_cost = weighted_flow_lk_power(EngineCore().run(inst, rr, eo), 1.0);
-  const double wprr_cost = weighted_flow_lk_power(EngineCore().run(inst, wprr, eo), 1.0);
+  const double hdf_cost = weighted_flow_lk_power(run(inst, hdf, req).schedule, 1.0);
+  const double hrdf_cost = weighted_flow_lk_power(run(inst, hrdf, req).schedule, 1.0);
+  const double rr_cost = weighted_flow_lk_power(run(inst, rr, req).schedule, 1.0);
+  const double wprr_cost = weighted_flow_lk_power(run(inst, wprr, req).schedule, 1.0);
   const double best = std::min(hdf_cost, hrdf_cost);
   EXPECT_LE(best, rr_cost * (1.0 + 1e-9));
   EXPECT_LE(best, wprr_cost * (1.0 + 1e-9));
@@ -74,10 +74,10 @@ TEST(Hrdf, PreemptsByResidualDensity) {
   std::vector<Job> jobs{Job{0, 0.0, 4.0, 1.0}, Job{1, 3.0, 2.0, 1.5}};
   const Instance inst = Instance::from_jobs(std::move(jobs));
   Hrdf hrdf;
-  const Schedule s = EngineCore().run(inst, hrdf);
+  const Schedule s = run(inst, hrdf).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 4.0);
   Hdf hdf;
-  const Schedule h = EngineCore().run(inst, hdf);
+  const Schedule h = run(inst, hdf).schedule;
   EXPECT_DOUBLE_EQ(h.completion(1), 5.0);  // HDF runs job 1 first at t=3
   EXPECT_DOUBLE_EQ(h.completion(0), 6.0);
 }
@@ -99,11 +99,11 @@ TEST(Wprr, UnitWeightsEqualRoundRobin) {
       40, 2, 0.9, workload::ExponentialSize{1.0}, rng);
   WeightProportionalRoundRobin wprr;
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 2;
-  eo.record_trace = false;
-  const Schedule a = EngineCore().run(inst, wprr, eo);
-  const Schedule b = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 2;
+  req.record_trace = false;
+  const Schedule a = run(inst, wprr, req).schedule;
+  const Schedule b = run(inst, rr, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-7);
   }
@@ -129,10 +129,13 @@ TEST(Wprr, IsNonClairvoyant) {
       30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
   inst = workload::with_weights(inst, workload::WeightScheme::kRandom, rng);
   WeightProportionalRoundRobin open, blind;
-  EngineOptions hidden;
+  RunRequest hidden;
   hidden.hide_sizes = true;
-  const Schedule a = EngineCore().run(inst, open);
-  const Schedule b = EngineCore().run(inst, blind, hidden);
+  // The fast path never reads sizes; the generic loop is where the
+  // policy's own rates() sees the hidden (NaN) sizes.
+  hidden.use_fast_path = false;
+  const Schedule a = run(inst, open).schedule;
+  const Schedule b = run(inst, blind, hidden).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-7);
   }

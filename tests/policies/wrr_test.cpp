@@ -99,7 +99,7 @@ TEST(WeightedRoundRobin, CompletesEverythingAndConservesWork) {
   const Instance inst = workload::detail::poisson_load(
       40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   WeightedRoundRobin wrr;
-  const Schedule s = EngineCore().run(inst, wrr);
+  const Schedule s = run(inst, wrr).schedule;
   s.validate();
 }
 
@@ -121,9 +121,9 @@ TEST(WeightedRoundRobin, HelpsL2OverRrOnStarvedBigJob) {
   const Instance inst = workload::detail::poisson_load(
       50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
   WeightedRoundRobin wrr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double wrr_l2 = flow_lk_norm(EngineCore().run(inst, wrr, eo), 2.0);
+  RunRequest req;
+  req.record_trace = false;
+  const double wrr_l2 = flow_lk_norm(run(inst, wrr, req).schedule, 2.0);
   EXPECT_GT(wrr_l2, 0.0);
   EXPECT_TRUE(std::isfinite(wrr_l2));
 }

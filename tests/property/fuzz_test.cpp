@@ -52,11 +52,11 @@ TEST_P(FuzzSweep, EveryPolicyProducesConsistentSchedules) {
   const double speed = rng.uniform(0.5, 5.0);
   for (const std::string& spec : builtin_policy_specs()) {
     auto policy = make_policy(spec);
-    EngineOptions eo;
-    eo.machines = machines;
-    eo.speed = speed;
-    eo.max_steps = 5'000'000;
-    const Schedule s = EngineCore().run(inst, *policy, eo);
+    RunRequest req;
+    req.machines = machines;
+    req.speed = speed;
+    req.max_steps = 5'000'000;
+    const Schedule s = run(inst, *policy, req).schedule;
     ASSERT_NO_THROW(s.validate()) << spec << " on " << inst.summary();
   }
 }
@@ -64,13 +64,13 @@ TEST_P(FuzzSweep, EveryPolicyProducesConsistentSchedules) {
 TEST_P(FuzzSweep, SrptMinimizesTotalFlowOnOneMachine) {
   workload::Rng rng(GetParam() + 1'000'000);
   const Instance inst = fuzz_instance(rng);
-  EngineOptions eo;
-  eo.record_trace = false;
+  RunRequest req;
+  req.record_trace = false;
   auto srpt = make_policy("srpt");
-  const double best = flow_lk_power(EngineCore().run(inst, *srpt, eo), 1.0);
+  const double best = flow_lk_power(run(inst, *srpt, req).schedule, 1.0);
   for (const std::string& spec : builtin_policy_specs()) {
     auto policy = make_policy(spec);
-    const double cost = flow_lk_power(EngineCore().run(inst, *policy, eo), 1.0);
+    const double cost = flow_lk_power(run(inst, *policy, req).schedule, 1.0);
     EXPECT_GE(cost, best * (1.0 - 1e-7)) << spec;
   }
 }
@@ -81,10 +81,10 @@ TEST_P(FuzzSweep, DualFitAlgebraHoldsAtArbitrarySpeed) {
   const double speed = rng.uniform(0.5, 8.0);
   const int machines = static_cast<int>(rng.uniform_int(1, 4));
   auto rr = make_policy("rr");
-  EngineOptions eo;
-  eo.machines = machines;
-  eo.speed = speed;
-  const Schedule s = EngineCore().run(inst, *rr, eo);
+  RunRequest req;
+  req.machines = machines;
+  req.speed = speed;
+  const Schedule s = run(inst, *rr, req).schedule;
   analysis::DualFitOptions opt;
   opt.k = static_cast<double>(rng.uniform_int(1, 3));
   opt.eps = 0.05;
@@ -109,10 +109,10 @@ TEST_P(FuzzSweep, TimeScalingInvariance) {
   for (const char* spec : {"rr", "srpt", "fcfs", "laps:0.5"}) {
     auto p1 = make_policy(spec);
     auto p2 = make_policy(spec);
-    EngineOptions eo;
-    eo.record_trace = false;
-    const Schedule a = EngineCore().run(inst, *p1, eo);
-    const Schedule b = EngineCore().run(scaled_inst, *p2, eo);
+    RunRequest req;
+    req.record_trace = false;
+    const Schedule a = run(inst, *p1, req).schedule;
+    const Schedule b = run(scaled_inst, *p2, req).schedule;
     for (JobId j = 0; j < inst.n(); ++j) {
       EXPECT_NEAR(b.completion(j), c * a.completion(j),
                   1e-6 * std::max(1.0, c * a.completion(j)))

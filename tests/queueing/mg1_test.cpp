@@ -164,9 +164,9 @@ TEST_P(SimulatorVsTheory, MeanFlowMatchesMg1) {
     const Instance inst =
         workload::detail::poisson_load(n, 1, load, dist, rng);
     auto policy = make_policy(policy_name);
-    EngineOptions eo;
-    eo.record_trace = false;
-    const Schedule s = EngineCore().run(inst, *policy, eo);
+    RunRequest req;
+    req.record_trace = false;
+    const Schedule s = run(inst, *policy, req).schedule;
     double sum = 0.0;
     for (JobId j = static_cast<JobId>(warmup); j < n - warmup; ++j) {
       sum += s.flow(j);

@@ -54,10 +54,10 @@ TEST(RelatedRoundRobin, IdenticalSpeedsMatchCoreRr) {
   const RelSchedule a = simulate_related(inst, rel, ro);
 
   RoundRobin core;
-  EngineOptions eo;
-  eo.machines = 3;
-  eo.record_trace = false;
-  const Schedule b = EngineCore().run(inst, core, eo);
+  RunRequest req;
+  req.machines = 3;
+  req.record_trace = false;
+  const Schedule b = run(inst, core, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion[j], b.completion(j), 1e-7) << "job " << j;
   }

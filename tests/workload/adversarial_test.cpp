@@ -38,10 +38,10 @@ TEST(RrL2Hard, RrIsMuchWorseThanSrptForL2AtSpeedOne) {
   const Instance inst = rr_l2_hard(30);
   RoundRobin rr;
   Srpt srpt;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double rr_l2 = flow_lk_norm(EngineCore().run(inst, rr, eo), 2.0);
-  const double srpt_l2 = flow_lk_norm(EngineCore().run(inst, srpt, eo), 2.0);
+  RunRequest req;
+  req.record_trace = false;
+  const double rr_l2 = flow_lk_norm(run(inst, rr, req).schedule, 2.0);
+  const double srpt_l2 = flow_lk_norm(run(inst, srpt, req).schedule, 2.0);
   EXPECT_GT(rr_l2, 1.7 * srpt_l2);  // the family separates RR from OPT
 }
 
@@ -66,10 +66,10 @@ TEST(GeometricLevels, RrRatioGrowsWithDepthAtSpeedOne) {
     const Instance inst = geometric_levels(levels);
     RoundRobin rr;
     Srpt srpt;
-    EngineOptions eo;
-    eo.record_trace = false;
-    return flow_lk_norm(EngineCore().run(inst, rr, eo), 2.0) /
-           flow_lk_norm(EngineCore().run(inst, srpt, eo), 2.0);
+    RunRequest req;
+    req.record_trace = false;
+    return flow_lk_norm(run(inst, rr, req).schedule, 2.0) /
+           flow_lk_norm(run(inst, srpt, req).schedule, 2.0);
   };
   const double r4 = ratio(4), r8 = ratio(8), r11 = ratio(11);
   EXPECT_GT(r8, r4);
@@ -87,11 +87,11 @@ TEST(SrptStarvation, StructureAndBehaviour) {
   // delays the stream, so RR's max flow is several times smaller.
   RoundRobin rr;
   Srpt srpt;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double rr_max = flow_lk_norm(EngineCore().run(inst, rr, eo),
+  RunRequest req;
+  req.record_trace = false;
+  const double rr_max = flow_lk_norm(run(inst, rr, req).schedule,
                                      std::numeric_limits<double>::infinity());
-  const double srpt_max = flow_lk_norm(EngineCore().run(inst, srpt, eo),
+  const double srpt_max = flow_lk_norm(run(inst, srpt, req).schedule,
                                        std::numeric_limits<double>::infinity());
   EXPECT_GT(srpt_max, 2.0 * rr_max);
   EXPECT_NEAR(srpt_max, 52.0, 1e-6);
@@ -103,11 +103,11 @@ TEST(SrptStarvation, HugeBigJobAbsorbsSlackUnderEveryPolicy) {
   const Instance inst = srpt_starvation(50, 20.0, 1.0);
   RoundRobin rr;
   Srpt srpt;
-  EngineOptions eo;
-  eo.record_trace = false;
+  RunRequest req;
+  req.record_trace = false;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  EXPECT_NEAR(flow_lk_norm(EngineCore().run(inst, rr, eo), kInf),
-              flow_lk_norm(EngineCore().run(inst, srpt, eo), kInf), 1e-6);
+  EXPECT_NEAR(flow_lk_norm(run(inst, rr, req).schedule, kInf),
+              flow_lk_norm(run(inst, srpt, req).schedule, kInf), 1e-6);
 }
 
 TEST(SrptStarvation, RejectsBadParameters) {
@@ -125,9 +125,9 @@ TEST(OverloadPulse, AlternatesLoadAndIdle) {
 
   // On 2 machines each pulse drains before the next arrives.
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 2;
-  const Schedule s = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 2;
+  const Schedule s = run(inst, rr, req).schedule;
   EXPECT_LE(s.completion(3), 4.0 + 1e-9);
 }
 
