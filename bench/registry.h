@@ -44,7 +44,8 @@ class RunContext {
   /// harness::CliError), or `fallback`; recorded as a run param.
   [[nodiscard]] long int_param(const std::string& name, long fallback);
   [[nodiscard]] double double_param(const std::string& name, double fallback);
-  /// String-valued param (workload specs, trace paths); recorded verbatim.
+  /// String-valued param (trace paths, policy specs, output paths);
+  /// recorded verbatim.
   [[nodiscard]] std::string string_param(const std::string& name,
                                          const std::string& fallback);
   /// The experiment's RNG seed: --seed, or `fallback`; recorded.

@@ -221,9 +221,8 @@ Options& add_run_flags(Options& options) {
              "policy spec (rr srpt sjf fcfs setf wrr mlfq hdf hrdf wprr "
              "laps:B qrr:Q[,CS])")
       .value("workload", defaults.workload,
-             "workload spec (poisson:n=..,load=.. | mmpp:.. | uniform:.. | "
-             "bursty:.. | adv-* | trace:PATH); empty = workload supplied "
-             "out-of-band")
+             "workload spec (poisson:n=..,load=.. | uniform:.. | bursty:.. | "
+             "adv-* | trace:PATH); empty = workload supplied out-of-band")
       .value("machines", static_cast<long>(defaults.machines),
              "identical machines")
       .value("speed", defaults.speed, "speed augmentation s (OPT at speed 1)")

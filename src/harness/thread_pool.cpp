@@ -154,38 +154,41 @@ void ThreadPool::parallel_for(std::size_t count,
     // fine enough that stealing can still balance uneven chunks.
     grain = std::max<std::size_t>(1, count / (size() * 4));
   }
+  // The state lives on this frame: the caller waits for remaining == 0
+  // before it returns, and each task's countdown is its last touch of the
+  // state, so the captured exception is released here, on the calling
+  // thread, never by whichever worker finished last.
   struct State {
     std::atomic<std::size_t> remaining{0};
     std::mutex error_mutex;
     std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
+  } state;
   const std::size_t chunks = (count + grain - 1) / grain;
-  state->remaining.store(chunks, std::memory_order_relaxed);
+  state.remaining.store(chunks, std::memory_order_relaxed);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = c * grain;
     const std::size_t hi = std::min(count, lo + grain);
     // bind_obs wraps only the body loop: the countdown below must stay the
     // chunk's final act, after every obs write, because the caller returns
-    // from parallel_for (and may destroy the sink, the body, and `state`'s
-    // last owner) the instant it observes remaining == 0.
-    auto chunk = bind_obs([state, &body, lo, hi] {
+    // from parallel_for (and may destroy the sink and the body, and does
+    // destroy the state) the instant it observes remaining == 0.
+    auto chunk = bind_obs([&state, &body, lo, hi] {
       try {
         for (std::size_t i = lo; i < hi; ++i) body(i);
       } catch (...) {
-        std::lock_guard lock(state->error_mutex);
-        if (!state->error) state->error = std::current_exception();
+        std::lock_guard lock(state.error_mutex);
+        if (!state.error) state.error = std::current_exception();
       }
     });
-    push_task([state, chunk = std::move(chunk)]() mutable {
+    push_task([&state, chunk = std::move(chunk)]() mutable {
       chunk();
-      state->remaining.fetch_sub(1, std::memory_order_acq_rel);
+      state.remaining.fetch_sub(1, std::memory_order_acq_rel);
     });
   }
   help_until([&state] {
-    return state->remaining.load(std::memory_order_acquire) == 0;
+    return state.remaining.load(std::memory_order_acquire) == 0;
   });
-  if (state->error) std::rethrow_exception(state->error);
+  if (state.error) std::rethrow_exception(state.error);
 }
 
 }  // namespace tempofair::harness

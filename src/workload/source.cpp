@@ -117,55 +117,6 @@ class OwningPoissonStream final : public JobStream {
   detail::PoissonStream inner_;
 };
 
-/// Two-state Markov-modulated Poisson process: dwell times are exponential
-/// with means `mean_off`/`mean_on`; arrivals are Poisson at `lambda_off`
-/// while OFF and `lambda_on` while ON.  Starts OFF.  Each candidate
-/// inter-arrival gap competes with the remaining dwell; on a state flip the
-/// gap is redrawn, which is exact because the exponential is memoryless.
-class MmppStream final : public JobStream {
- public:
-  MmppStream(std::size_t n, double lambda_off, double lambda_on,
-             double mean_on, double mean_off, const SizeDist& dist,
-             std::uint64_t seed)
-      : n_(n), lambda_off_(lambda_off), lambda_on_(lambda_on),
-        mean_on_(mean_on), mean_off_(mean_off), dist_(dist), rng_(seed) {
-    dwell_left_ = rng_.exponential(mean_off_);
-  }
-
-  [[nodiscard]] std::size_t n() const noexcept override { return n_; }
-
-  [[nodiscard]] Job next() override {
-    if (emitted_ == n_) {
-      throw std::logic_error("MmppStream: next() called past n()");
-    }
-    for (;;) {
-      const double rate = on_ ? lambda_on_ : lambda_off_;
-      const double gap = rng_.exponential(1.0 / rate);
-      if (gap < dwell_left_) {
-        dwell_left_ -= gap;
-        clock_ += gap;
-        const Job j{static_cast<JobId>(emitted_), clock_,
-                    draw_size(dist_, rng_)};
-        ++emitted_;
-        return j;
-      }
-      clock_ += dwell_left_;
-      on_ = !on_;
-      dwell_left_ = rng_.exponential(on_ ? mean_on_ : mean_off_);
-    }
-  }
-
- private:
-  std::size_t n_;
-  double lambda_off_, lambda_on_, mean_on_, mean_off_;
-  SizeDist dist_;
-  Rng rng_;
-  bool on_ = false;
-  double dwell_left_;
-  std::size_t emitted_ = 0;
-  Time clock_ = 0.0;
-};
-
 /// detail::InstanceRefStream plus shared ownership of the instance.
 class OwningInstanceStream final : public JobStream {
  public:
@@ -209,50 +160,6 @@ class PoissonSource final : public WorkloadSource {
  private:
   std::size_t n_;
   double lambda_;
-  Weights weights_;
-};
-
-class MmppSource final : public WorkloadSource {
- public:
-  explicit MmppSource(WorkloadSpec s) : WorkloadSource(std::move(s)) {
-    check_keys(spec(), {"n", "load", "burst", "on", "off", "dist", "seed",
-                        "machines", "weights"});
-    n_ = spec_count(spec(), "n", 1000);
-    const double burst = spec().get_double("burst", 8.0);
-    if (!(burst >= 1.0)) {
-      throw SpecError("workload spec '" + spec().to_string() +
-                      "': burst must be >= 1");
-    }
-    mean_on_ = spec_positive(spec(), "on", 5.0);
-    mean_off_ = spec_positive(spec(), "off", 45.0);
-    // Calibrate the stationary arrival rate to the requested load:
-    // lambda_avg = (on*burst + off) / (on + off) * lambda_off.
-    const double lambda_avg = spec_load(spec()) * spec_machines(spec()) /
-                              mean_size(spec().dist());
-    lambda_off_ =
-        lambda_avg * (mean_on_ + mean_off_) / (mean_on_ * burst + mean_off_);
-    lambda_on_ = burst * lambda_off_;
-    weights_ = spec_weights(spec());
-  }
-
-  [[nodiscard]] std::size_t n() const override { return n_; }
-  [[nodiscard]] bool streamable() const noexcept override {
-    return weights_ == Weights::kNone;
-  }
-  [[nodiscard]] std::unique_ptr<JobStream> stream() override {
-    if (!streamable()) return WorkloadSource::stream();  // throws
-    return std::make_unique<MmppStream>(n_, lambda_off_, lambda_on_, mean_on_,
-                                        mean_off_, spec().dist(), spec().seed());
-  }
-  [[nodiscard]] Instance instance() override {
-    MmppStream s(n_, lambda_off_, lambda_on_, mean_on_, mean_off_,
-                 spec().dist(), spec().seed());
-    return apply_weights(materialize(s), weights_, spec().seed());
-  }
-
- private:
-  std::size_t n_;
-  double lambda_off_, lambda_on_, mean_on_, mean_off_;
   Weights weights_;
 };
 
@@ -338,7 +245,6 @@ std::unique_ptr<JobStream> WorkloadSource::stream() {
 std::unique_ptr<WorkloadSource> make_source(const WorkloadSpec& spec) {
   const std::string& kind = spec.kind;
   if (kind == "poisson") return std::make_unique<PoissonSource>(spec);
-  if (kind == "mmpp") return std::make_unique<MmppSource>(spec);
   if (kind == "trace") return std::make_unique<TraceSource>(spec);
   if (kind == "uniform") {
     check_keys(spec, {"n", "gap", "size", "start"});
@@ -430,12 +336,11 @@ Instance make_instance(std::string_view spec_string) {
 }
 
 std::vector<std::string> builtin_workload_kinds() {
-  return {"poisson",        "mmpp",
-          "uniform",        "bursty",
-          "trace",          "adv-rr-l2-hard",
-          "adv-batch-stream", "adv-srpt-starvation",
-          "adv-overload-pulse", "adv-staircase",
-          "adv-geometric"};
+  return {"poisson",             "uniform",
+          "bursty",              "trace",
+          "adv-rr-l2-hard",      "adv-batch-stream",
+          "adv-srpt-starvation", "adv-overload-pulse",
+          "adv-staircase",       "adv-geometric"};
 }
 
 RunResult run_spec(const RunRequest& request) {

@@ -16,7 +16,6 @@
 // Supported kinds (see builtin_workload_kinds() for the live list):
 //
 //   poisson:n=..,load=..,dist=..,seed=..[,machines=..][,weights=..]
-//   mmpp:n=..,load=..,burst=..,on=..,off=..[,dist=..,seed=..,machines=..]
 //   uniform:n=..,gap=..,size=..[,start=..]
 //   bursty:bursts=..,per=..,gap=..[,dist=..,seed=..][,weights=..]
 //   adv-rr-l2-hard:n=..            adv-srpt-starvation:stream=..[,big=..,gap=..]

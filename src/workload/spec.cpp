@@ -192,22 +192,6 @@ WorkloadSpec WorkloadSpec::bursty(std::size_t bursts, std::size_t per_burst,
   return spec;
 }
 
-WorkloadSpec WorkloadSpec::mmpp(std::size_t n, double load, double burst,
-                                double on, double off, const SizeDist& dist,
-                                std::uint64_t seed, int machines) {
-  WorkloadSpec spec;
-  spec.kind = "mmpp";
-  spec.set("n", static_cast<long>(n));
-  spec.set("load", load);
-  spec.set("burst", burst);
-  spec.set("on", on);
-  spec.set("off", off);
-  spec.set("dist", size_dist_spec(dist));
-  spec.set("seed", static_cast<long>(seed));
-  if (machines != 1) spec.set("machines", static_cast<long>(machines));
-  return spec;
-}
-
 WorkloadSpec WorkloadSpec::trace(std::string path) {
   WorkloadSpec spec;
   spec.kind = "trace";

@@ -1,16 +1,14 @@
 // WorkloadSpec: the declarative description of a workload.
 //
 // Every workload in the system -- synthetic generator, adversarial family,
-// real-trace replay, scenario composition -- is named by one spec, written
-// as a single string so it can ride a RunRequest, a CLI flag, a SUBMIT
-// frame, or a JSON artifact unchanged:
+// real-trace replay -- is named by one spec, written as a single string so
+// it can ride a RunRequest, a CLI flag, or a JSON artifact unchanged:
 //
 //   kind[:param=value[,param=value...]]
 //
 //   poisson:n=1000,load=0.9,dist=exp(1),seed=7      Poisson arrivals
 //   uniform:n=100,gap=1,size=1                      deterministic stream
 //   bursty:bursts=10,per=10,gap=10,dist=exp(1)      batched arrivals
-//   mmpp:n=1000,load=0.9,burst=8,on=5,off=45        correlated bursts
 //   adv-rr-l2-hard:n=40                             hard families
 //   adv-srpt-starvation:stream=200,big=2,gap=1
 //   adv-overload-pulse:pulses=4,burst=32,machines=2
@@ -89,15 +87,6 @@ struct WorkloadSpec {
                                            std::size_t per_burst, double gap,
                                            const SizeDist& dist,
                                            std::uint64_t seed = 1);
-  /// Two-state Markov-modulated Poisson arrivals: the ON state's rate is
-  /// `burst` times the OFF state's, mean dwells `on`/`off`, calibrated so
-  /// the long-run utilization is `load`.  Correlated bursts, heavy tails
-  /// via `dist`.
-  [[nodiscard]] static WorkloadSpec mmpp(std::size_t n, double load,
-                                         double burst, double on, double off,
-                                         const SizeDist& dist,
-                                         std::uint64_t seed = 1,
-                                         int machines = 1);
   [[nodiscard]] static WorkloadSpec trace(std::string path);
 
   friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;

@@ -69,7 +69,6 @@ TEST(WorkloadSource, UniformSpecMatchesDeprecatedGenerator) {
 TEST(WorkloadSource, StreamAndInstanceAgreeBitwise) {
   for (const std::string& spec :
        {std::string("poisson:n=150,load=0.8,dist=exp(1.5),seed=3"),
-        std::string("mmpp:n=150,load=0.8,burst=8,on=5,off=20,seed=3"),
         std::string("uniform:n=50,gap=1,size=2")}) {
     const std::unique_ptr<WorkloadSource> source = make_source(spec);
     ASSERT_TRUE(source->streamable()) << spec;

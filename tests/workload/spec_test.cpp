@@ -31,7 +31,7 @@ TEST(WorkloadSpec, BareKindHasNoParams) {
 TEST(WorkloadSpec, ToStringRoundTripsPreservingOrder) {
   for (const std::string& text :
        {std::string("poisson:n=100,load=0.9,dist=pareto(1.8,0.5),seed=3"),
-        std::string("mmpp:n=500,load=0.8,burst=8,on=5,off=20"),
+        std::string("adv-overload-pulse:pulses=4,burst=32,machines=2"),
         std::string("uniform:n=10,gap=1,size=2,start=0.5"),
         std::string("bursty:bursts=4,per=8,gap=10,dist=bimodal(0.9,1,50)"),
         std::string("adv-rr-l2-hard:n=40")}) {
@@ -101,10 +101,6 @@ TEST(WorkloadSpec, BuildersRoundTripThroughParse) {
   EXPECT_EQ(WorkloadSpec::parse(poisson.to_string()), poisson);
   EXPECT_EQ(poisson.kind, "poisson");
   EXPECT_EQ(poisson.get_int("machines", 1), 2);
-
-  const WorkloadSpec mmpp =
-      WorkloadSpec::mmpp(500, 0.8, 8.0, 5.0, 20.0, ExponentialSize{1.0}, 3);
-  EXPECT_EQ(WorkloadSpec::parse(mmpp.to_string()), mmpp);
 
   const WorkloadSpec trace = WorkloadSpec::trace("dir/with,comma/t.bin");
   EXPECT_EQ(WorkloadSpec::parse(trace.to_string()), trace);

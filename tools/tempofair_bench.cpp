@@ -56,8 +56,6 @@ int main(int argc, char** argv) {
       .value("trials", 0, "override trial counts (t8, f5)")
       .value("trace", std::string(),
              "replay an external trace file where supported (s1)")
-      .value("workload", std::string(),
-             "override the workload spec where supported (s2, s3)")
       .value("grid-out", std::string(),
              "write a deterministic sweep-grid JSON where supported (f5); "
              "byte-identical for any --jobs value")
@@ -124,7 +122,7 @@ int main(int argc, char** argv) {
   if (parsed.given("eps")) {
     overrides["eps"] = harness::detail::format_double(parsed.get_double("eps"));
   }
-  for (const char* name : {"trace", "workload", "grid-out"}) {
+  for (const char* name : {"trace", "grid-out"}) {
     if (parsed.given(name)) overrides[name] = parsed.get_string(name);
   }
 

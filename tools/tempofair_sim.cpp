@@ -40,7 +40,7 @@ int usage() {
                "policy specs: rr srpt sjf fcfs setf wrr mlfq hdf hrdf wprr "
                "laps:B qrr:Q[,CS]\n"
                "workload specs: poisson:n=..,load=..,dist=exp(1.5),seed=.. | "
-               "mmpp:.. | uniform:.. | bursty:.. |\n"
+               "uniform:.. | bursty:.. |\n"
                "                adv-rr-l2-hard:.. | adv-srpt-starvation:.. | "
                "adv-overload-pulse:.. |\n"
                "                adv-staircase:.. | adv-geometric:.. | "
