@@ -277,6 +277,24 @@ Report run_fastpath_cases(const CaseOptions& options) {
     report.cases.push_back(std::move(c));
   }
 
+  // --- Instance construction: the workload layer on its own ----------------
+  // Draws the Poisson jobs and builds the validated, release-indexed
+  // instance; the generators hand over ordered jobs, so no sort should run.
+  {
+    std::size_t built = 0;
+    CaseResult c = measure(
+        "make_instance_" + std::to_string(n_stream) + suffix, repeats, [&] {
+          built += workload::make_instance(workload::WorkloadSpec::poisson(
+                                               n_stream, 0.9,
+                                               workload::ExponentialSize{1.5},
+                                               kSeed))
+                       .n();
+        });
+    c.stats["jobs"] = static_cast<double>(n_stream);
+    c.stats["built_total"] = static_cast<double>(built);
+    report.cases.push_back(std::move(c));
+  }
+
   // --- RR streaming: generation + simulation, nothing materialized ----------
   // This is the headline million-job number: the body builds the generator
   // and simulates, so the time is the true end-to-end cost of the run.

@@ -8,8 +8,10 @@
 // pairs run on the identical instance so the derived
 // `speedup_vs_event_loop` stat is apples to apples.  run_small_6 and
 // search_screen_6 time batches of 6-job runs and search screens, where the
-// fixed per-call cost, not the jobs, sets the time.  Four cases leave the
-// engine: flow_stats_* times the metrics summary of a finished run,
+// fixed per-call cost, not the jobs, sets the time.  Five cases leave the
+// engine: make_instance_* times workload::make_instance on a Poisson spec
+// (generation plus instance construction), flow_stats_* times the metrics
+// summary of a finished run,
 // opt_bounds_lp_* times the OPT bracket with its LP lower bound on two
 // fixed T2 families (a Poisson stream and the batch-shaped adv-geometric),
 // so the min-cost flow and the certificate are gated too,

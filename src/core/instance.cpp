@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -28,16 +29,22 @@ void validate_job(const Job& j) {
 }  // namespace
 
 Instance::Instance(std::vector<Job> jobs) : jobs_(std::move(jobs)) {
+  // Every caller hands over jobs_ indexed by id (jobs_[i].id == i), so the
+  // release order is the identity exactly when each job arrives strictly
+  // after its predecessor; that is checked in the same pass as validation.
   min_release_ = kInfiniteTime;
   max_release_ = 0.0;
   min_size_ = std::numeric_limits<Work>::infinity();
-  for (const Job& j : jobs_) {
+  bool ordered = true;
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    const Job& j = jobs_[i];
     validate_job(j);
     total_work_ += j.size;
     max_size_ = std::max(max_size_, j.size);
     min_size_ = std::min(min_size_, j.size);
     min_release_ = std::min(min_release_, j.release);
     max_release_ = std::max(max_release_, j.release);
+    ordered = ordered && (i == 0 || arrives_before(jobs_[i - 1], j));
   }
   if (jobs_.empty()) {
     min_release_ = 0.0;
@@ -45,6 +52,8 @@ Instance::Instance(std::vector<Job> jobs) : jobs_(std::move(jobs)) {
   }
   release_order_.resize(jobs_.size());
   std::iota(release_order_.begin(), release_order_.end(), JobId{0});
+  ids_in_release_order_ = ordered;
+  if (ordered) return;
   std::sort(release_order_.begin(), release_order_.end(),
             [this](JobId a, JobId b) {
               return arrives_before(jobs_[a], jobs_[b]);
@@ -62,6 +71,10 @@ Instance Instance::from_pairs(std::span<const std::pair<Time, Work>> pairs) {
 }
 
 Instance Instance::from_jobs(std::vector<Job> jobs) {
+  // Ids already 0..n-1 in place: a permutation in id order, nothing to do.
+  std::size_t i = 0;
+  while (i < jobs.size() && jobs[i].id == i) ++i;
+  if (i == jobs.size()) return Instance(std::move(jobs));
   std::vector<bool> seen(jobs.size(), false);
   for (const Job& j : jobs) {
     if (j.id >= jobs.size() || seen[j.id]) {

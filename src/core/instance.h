@@ -4,6 +4,10 @@
 // releases) and assigns dense ids 0..n-1 in the order the jobs were given.
 // Jobs are additionally indexable in release order, which the engine and the
 // dual-fitting verifier rely on.
+//
+// Construction is one O(n) pass when the jobs already arrive with ids 0..n-1
+// in (release, id) order, as every generator, stream and sorted trace
+// delivers them; other input is sorted, with the same result bit for bit.
 #pragma once
 
 #include <span>
@@ -37,8 +41,15 @@ class Instance {
   [[nodiscard]] std::span<const Job> jobs() const noexcept { return jobs_; }
 
   /// Job ids sorted by (release, id); arrival order used by the engine.
+  /// The identity 0..n-1 (built without a sort) when ids_in_release_order().
   [[nodiscard]] std::span<const JobId> release_order() const noexcept {
     return release_order_;
+  }
+
+  /// True when release_order() is the identity: job i is the i-th arrival,
+  /// so the instance can be streamed in id order (stream contract S2).
+  [[nodiscard]] bool ids_in_release_order() const noexcept {
+    return ids_in_release_order_;
   }
 
   [[nodiscard]] Work total_work() const noexcept { return total_work_; }
@@ -64,6 +75,7 @@ class Instance {
 
   std::vector<Job> jobs_;            // indexed by id
   std::vector<JobId> release_order_; // ids sorted by (release, id)
+  bool ids_in_release_order_ = true;
   Work total_work_ = 0.0;
   Work max_size_ = 0.0;
   Work min_size_ = 0.0;

@@ -115,12 +115,13 @@ double linf_norm(std::span<const double> values) {
 }
 
 double percentile(std::span<const double> values, double p) {
-  if (values.empty()) return 0.0;
   // The negated test also rejects NaN, which would reach percentile_rank's
-  // cast to size_t as undefined behaviour.
+  // cast to size_t as undefined behaviour.  It runs before the empty check
+  // so a bad p is rejected whatever the input.
   if (!(p >= 0.0 && p <= 100.0)) {
     throw std::invalid_argument("percentile: p outside [0,100]");
   }
+  if (values.empty()) return 0.0;
   std::vector<double> scratch(values.begin(), values.end());
   std::size_t from = 0;
   return percentile_select(scratch, from, p);

@@ -27,7 +27,8 @@ namespace tempofair {
 /// max_j v_j (the l_infinity norm).
 [[nodiscard]] double linf_norm(std::span<const double> values);
 
-/// p-th percentile (p in [0,100]) by linear interpolation.
+/// p-th percentile (p in [0,100]) by linear interpolation; 0 for empty
+/// input.  Throws std::invalid_argument for p outside [0,100] or NaN.
 [[nodiscard]] double percentile(std::span<const double> values, double p);
 
 struct FlowStats {

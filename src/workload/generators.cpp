@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "workload/stream.h"
+
 namespace tempofair::workload {
 
 double draw_size(const SizeDist& dist, Rng& rng) {
@@ -89,17 +91,8 @@ namespace detail {
 
 Instance poisson_stream(std::size_t n, double lambda, const SizeDist& dist,
                         Rng& rng) {
-  if (!(lambda > 0.0)) {
-    throw std::invalid_argument("poisson_stream: lambda must be > 0");
-  }
-  std::vector<Job> jobs;
-  jobs.reserve(n);
-  Time t = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += rng.exponential(1.0 / lambda);
-    jobs.push_back(Job{static_cast<JobId>(i), t, draw_size(dist, rng)});
-  }
-  return Instance::from_jobs(std::move(jobs));
+  PoissonStream stream(n, lambda, dist, rng);
+  return materialize(stream);
 }
 
 Instance poisson_load(std::size_t n, int machines, double utilization,

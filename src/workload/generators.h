@@ -59,7 +59,8 @@ using SizeDist =
 // call with the same Rng.
 
 namespace detail {
-/// n jobs, Poisson arrivals with rate `lambda`, iid sizes from `dist`.
+/// n jobs, Poisson arrivals with rate `lambda`, iid sizes from `dist`:
+/// materialize() over a detail::PoissonStream drawing from `rng`.
 [[nodiscard]] Instance poisson_stream(std::size_t n, double lambda,
                                       const SizeDist& dist, Rng& rng);
 /// Poisson stream calibrated so that utilization lambda*E[size]/machines

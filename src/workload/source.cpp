@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "obs/obs.h"
 #include "policies/registry.h"
 #include "workload/adversarial.h"
 #include "workload/stream.h"
@@ -171,27 +172,20 @@ class MaterializedSource final : public WorkloadSource {
  public:
   MaterializedSource(WorkloadSpec s, Instance instance)
       : WorkloadSource(std::move(s)),
-        instance_(std::make_shared<const Instance>(std::move(instance))) {
-    const std::span<const JobId> order = instance_->release_order();
-    streamable_ = true;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      streamable_ = streamable_ && order[i] == static_cast<JobId>(i);
-    }
-  }
+        instance_(std::make_shared<const Instance>(std::move(instance))) {}
 
   [[nodiscard]] std::size_t n() const override { return instance_->n(); }
   [[nodiscard]] bool streamable() const noexcept override {
-    return streamable_;
+    return instance_->ids_in_release_order();
   }
   [[nodiscard]] std::unique_ptr<JobStream> stream() override {
-    if (!streamable_) return WorkloadSource::stream();  // throws
+    if (!streamable()) return WorkloadSource::stream();  // throws
     return std::make_unique<OwningInstanceStream>(instance_);
   }
   [[nodiscard]] Instance instance() override { return *instance_; }
 
  private:
   std::shared_ptr<const Instance> instance_;
-  bool streamable_ = false;
 };
 
 class TraceSource final : public WorkloadSource {
@@ -328,10 +322,12 @@ std::unique_ptr<WorkloadSource> make_source(std::string_view spec_string) {
 }
 
 Instance make_instance(const WorkloadSpec& spec) {
+  const obs::ScopedTimer timer("workload.generate");
   return make_source(spec)->instance();
 }
 
 Instance make_instance(std::string_view spec_string) {
+  const obs::ScopedTimer timer("workload.generate");
   return make_source(spec_string)->instance();
 }
 

@@ -21,8 +21,6 @@ Job PoissonStream::next() {
   if (emitted_ == n_) {
     throw std::logic_error("PoissonStream: next() called past n()");
   }
-  // Identical draw order to detail::poisson_stream(): inter-arrival gap,
-  // then size.
   clock_ += rng_->exponential(1.0 / lambda_);
   const Job j{static_cast<JobId>(emitted_), clock_, draw_size(*dist_, *rng_)};
   ++emitted_;
@@ -45,6 +43,8 @@ PoissonStream poisson_load_stream(std::size_t n, int machines,
 
 InstanceRefStream::InstanceRefStream(const Instance& instance)
     : instance_(&instance) {
+  if (instance.ids_in_release_order()) return;
+  // Name the first out-of-place rank in the message.
   const std::span<const JobId> order = instance.release_order();
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (order[i] != static_cast<JobId>(i)) {

@@ -5,9 +5,9 @@
 // staging.  detail::PoissonStream draws the *identical* RNG sequence one job
 // at a time, so the engine's fast path admits arrivals straight from the
 // generator and the run's footprint is the alive set plus the trace --
-// never the full instance.  Seeding one Rng for detail::poisson_stream and
-// another identically for detail::PoissonStream yields bitwise-equal jobs,
-// which is what the equivalence tests rely on.
+// never the full instance.  detail::poisson_stream is materialize() over a
+// PoissonStream, so one draw loop serves both and seeding their Rngs alike
+// yields bitwise-equal jobs, which is what the equivalence tests rely on.
 //
 // Callers should not name these concrete classes directly: describe the
 // workload with a WorkloadSpec and obtain the stream from
@@ -27,8 +27,8 @@ namespace detail {
 
 /// Poisson arrivals with rate `lambda`, iid sizes from `dist`; job i is the
 /// i-th arrival, so ids are sequential in release order (contract S2).
-/// Draws from `rng` lazily in next(), in exactly detail::poisson_stream()'s
-/// order.  The Rng and SizeDist must outlive the stream.
+/// Draws from `rng` lazily in next(): the gap to the arrival, then its size.
+/// The Rng and SizeDist must outlive the stream.
 class PoissonStream final : public JobStream {
  public:
   PoissonStream(std::size_t n, double lambda, const SizeDist& dist, Rng& rng);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -74,6 +79,76 @@ TEST(Instance, ReleaseOrderSortsByReleaseThenId) {
   EXPECT_EQ(order[1], 2u);
   EXPECT_EQ(order[2], 3u);
   EXPECT_EQ(order[3], 0u);
+}
+
+// Construction skips its sorts on input that is already in order; whichever
+// branch runs, the instance must equal what the sorts produce.
+TEST(Instance, ReleaseOrderMatchesSortReference) {
+  std::mt19937_64 rng(20261019);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 1000u}) {
+    // Job i released at a nondecreasing time; quarter steps give ties.
+    std::vector<Job> ordered;
+    Time t = 0.0;
+    std::uniform_int_distribution<int> step(0, 3);
+    for (std::size_t i = 0; i < n; ++i) {
+      t += 0.25 * step(rng);
+      ordered.push_back(Job{static_cast<JobId>(i), t, 1.0 + 0.5 * (i % 7)});
+    }
+    std::vector<std::pair<std::string, std::vector<Job>>> inputs;
+    inputs.emplace_back("ordered", ordered);
+    std::vector<Job> reversed = ordered;
+    for (std::size_t i = 0; i < n; ++i) {
+      reversed[i].release = ordered[n - 1 - i].release;
+    }
+    inputs.emplace_back("reversed releases", reversed);
+    std::vector<Job> shuffled = ordered;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    inputs.emplace_back("ids shuffled", shuffled);
+    std::vector<Job> tied = ordered;
+    for (Job& j : tied) j.release = 3.0;
+    inputs.emplace_back("all releases equal", tied);
+    std::vector<Job> late = ordered;
+    if (n > 0) late.back().release = 0.0;
+    if (n > 1) late[n - 2].release = std::max(late[n - 2].release, 0.5);
+    inputs.emplace_back("last release out of order", late);
+    std::vector<Job> swapped = ordered;
+    if (n > 1) std::swap(swapped.front(), swapped.back());
+    inputs.emplace_back("ids out of place, releases ordered", swapped);
+
+    for (const auto& [label, input] : inputs) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " " + label);
+      std::vector<Job> by_id(n);
+      for (const Job& j : input) by_id[j.id] = j;
+      std::vector<JobId> reference(n);
+      std::iota(reference.begin(), reference.end(), JobId{0});
+      std::sort(reference.begin(), reference.end(), [&](JobId a, JobId b) {
+        if (by_id[a].release != by_id[b].release) {
+          return by_id[a].release < by_id[b].release;
+        }
+        return a < b;
+      });
+      bool identity = true;
+      for (std::size_t i = 0; i < n; ++i) identity = identity && reference[i] == i;
+
+      const Instance inst = Instance::from_jobs(input);
+      ASSERT_EQ(inst.n(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(inst.jobs()[i].id, i);
+        EXPECT_EQ(inst.jobs()[i], by_id[i]);
+      }
+      const auto order = inst.release_order();
+      EXPECT_TRUE(std::equal(order.begin(), order.end(), reference.begin(),
+                             reference.end()));
+      EXPECT_EQ(inst.ids_in_release_order(), identity);
+    }
+  }
+  // Ids in place up to a duplicate or an out-of-range id still fail.
+  EXPECT_THROW((void)Instance::from_jobs(
+                   {Job{0, 0.0, 1.0}, Job{1, 1.0, 1.0}, Job{1, 2.0, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Instance::from_jobs(
+                   {Job{0, 0.0, 1.0}, Job{1, 1.0, 1.0}, Job{3, 2.0, 1.0}}),
+               std::invalid_argument);
 }
 
 TEST(Instance, AggregateStatistics) {

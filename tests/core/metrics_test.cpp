@@ -176,6 +176,14 @@ TEST(Percentile, RejectsOutOfRange) {
   EXPECT_THROW(
       (void)percentile(v, std::numeric_limits<double>::quiet_NaN()),
       std::invalid_argument);
+  // Empty input is no excuse for a bad p.
+  const std::vector<double> none;
+  EXPECT_THROW((void)percentile(none, 150.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(none, -1.0), std::invalid_argument);
+  EXPECT_THROW(
+      (void)percentile(none, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+  EXPECT_DOUBLE_EQ(percentile(none, 50.0), 0.0);
 }
 
 TEST(FlowStats, SummarizesCorrectly) {
