@@ -9,25 +9,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/pow_k.h"
 #include "lpsolve/rational.h"
 #include "obs/obs.h"
 
 namespace tempofair::analysis {
 
-namespace {
-
-/// v^k.  At k == 1 the exact result v is representable, and a pow() whose
-/// error is below 1 ULP (glibc's: 0.52) must return it; at k == 0 C Annex F
-/// requires pow(v, 0) == 1 for every v, NaN included.  Skipping the call is
-/// bit-identical in both cases.  No other exponent is special-cased:
-/// pow(v, 2) need not equal the correctly rounded v * v.
-double pow_k(double v, double k) {
-  if (k == 1.0) return v;
-  if (k == 0.0) return 1.0;
-  return std::pow(v, k);
-}
-
-}  // namespace
+// Every power below goes through pow_k (core/pow_k.h): std::pow's bits,
+// skipping the call where an FMA residual proves them.  A plain v * v would
+// not do, since pow(v, 2) need not equal the correctly rounded v * v.
 
 DualFitResult dual_fit_certificate(const Schedule& schedule,
                                    const DualFitOptions& options) {
@@ -47,7 +37,7 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   res.k = k;
   res.eps = eps;
   res.delta = eps;  // the paper sets delta = eps
-  res.gamma = options.gamma > 0.0 ? options.gamma : k * std::pow(k / eps, k);
+  res.gamma = options.gamma > 0.0 ? options.gamma : k * pow_k(k / eps, k);
   res.speed = schedule.speed();
   res.machines = schedule.machines();
 

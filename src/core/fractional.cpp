@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/pow_k.h"
+
 namespace tempofair {
 
 FractionalFlowResult fractional_flow_power(const Schedule& schedule, double k) {
@@ -38,7 +40,7 @@ FractionalFlowResult fractional_flow_power(const Schedule& schedule, double k) {
       // integral over u in [a,b] of k u^{k-1} (A - B u) / p du
       //   = [A u^k - B k/(k+1) u^{k+1}] / p  evaluated at b minus at a.
       auto antiderivative = [&](double u) {
-        return (A * std::pow(u, k) - B * k / (k + 1.0) * std::pow(u, k + 1.0)) / p;
+        return (A * pow_k(u, k) - B * k / (k + 1.0) * pow_k(u, k + 1.0)) / p;
       };
       out.per_job[s.job] += antiderivative(b) - antiderivative(a);
       remaining[s.job] = rem_a - s.rate * len;

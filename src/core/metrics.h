@@ -45,8 +45,12 @@ struct FlowStats {
   double p99 = 0.0;
 };
 
-/// Summary statistics of a flow-time vector.  The percentiles are selected
-/// (nth_element), not sorted for, and equal percentile() bit for bit.
+/// Summary statistics of a flow-time vector, in two fused passes over the
+/// flows (sums, max and norms; every field has the bits lk_norm,
+/// linf_norm and percentile() give).  The percentiles are selected, not
+/// sorted for: by radix select over the bit patterns from 4096 flows up,
+/// by an nth_element chain below that or when a flow is -0.0 or NaN.
+/// Throws std::invalid_argument on a negative flow.
 [[nodiscard]] FlowStats flow_stats(std::span<const double> flows);
 
 /// Summary statistics of a schedule's flow times.

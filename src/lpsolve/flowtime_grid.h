@@ -9,6 +9,7 @@
 #include <cstddef>
 
 #include "core/instance.h"
+#include "core/pow_k.h"
 #include "lpsolve/flowtime_lp.h"
 
 namespace tempofair::lpsolve::detail {
@@ -38,12 +39,12 @@ struct Grid {
                              const FlowtimeLpOptions& options);
 
 /// Cost per unit of processing of job j in slot s (evaluated at slot start);
-/// size_pow is pow(j.size, k), computed once per job.
+/// size_pow is pow_k(j.size, k), computed once per job.
 [[nodiscard]] inline double unit_cost(const Job& j, const Grid& g,
                                       std::size_t s, double k,
                                       double size_pow) {
   const double t = std::max(g.slot_start(s) - j.release, 0.0);
-  return (std::pow(t, k) + size_pow) / j.size;
+  return (pow_k(t, k) + size_pow) / j.size;
 }
 
 [[nodiscard]] inline bool lp_included(const Job& j) {

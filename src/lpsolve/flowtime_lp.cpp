@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/pow_k.h"
 #include "lpsolve/flowtime_grid.h"
 #include "lpsolve/mincost_flow.h"
 #include "lpsolve/rational.h"
@@ -389,7 +390,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
     mcf.add_edge(kSource, kClass0 + ci, classes.supply[ci], 0.0);
     ++edges;
     const std::size_t first = g.first_slot_for(j.release);
-    const double size_pow = std::pow(j.size, options.k);
+    const double size_pow = pow_k(j.size, options.k);
     for (std::size_t s = first; s < g.slots; ++s) {
       // The slot->sink edge already caps how much any slot absorbs (the LP of
       // the paper lets a job run on several machines simultaneously), so the

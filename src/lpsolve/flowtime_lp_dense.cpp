@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/pow_k.h"
 #include "lpsolve/flowtime_grid.h"
 #include "lpsolve/flowtime_lp.h"
 #include "lpsolve/simplex.h"
@@ -49,7 +50,7 @@ LinearProgram build_flowtime_lp(const Instance& instance,
   for (std::size_t j = 0; j < n; ++j) {
     if (!incl[j]) continue;
     const Job& job = instance.job(static_cast<JobId>(j));
-    const double size_pow = std::pow(job.size, options.k);
+    const double size_pow = pow_k(job.size, options.k);
     for (std::size_t s = first_slot[j]; s < g.slots; ++s) {
       lp.objective[var_base[j] + (s - first_slot[j])] =
           unit_cost(job, g, s, options.k, size_pow);

@@ -5,6 +5,7 @@
 
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "core/pow_k.h"
 #include "lpsolve/rational.h"
 #include "obs/obs.h"
 
@@ -42,7 +43,7 @@ OptBounds opt_bounds(const Instance& instance, const OptBoundsOptions& options) 
   out.machines = options.machines;
 
   for (const Job& j : instance.jobs()) {
-    out.trivial_lb += std::pow(j.size, options.k);
+    out.trivial_lb += pow_k(j.size, options.k);
   }
   const CertifiedBound trivial_cert =
       certified_trivial_bound(instance, options.k);

@@ -97,12 +97,9 @@ Instance poisson_stream(std::size_t n, double lambda, const SizeDist& dist,
 
 Instance poisson_load(std::size_t n, int machines, double utilization,
                       const SizeDist& dist, Rng& rng) {
-  if (!(utilization > 0.0) || utilization > 1.5) {
-    throw std::invalid_argument("poisson_load: utilization outside (0, 1.5]");
-  }
-  if (machines < 1) throw std::invalid_argument("poisson_load: machines < 1");
-  const double lambda = utilization * machines / mean_size(dist);
-  return detail::poisson_stream(n, lambda, dist, rng);
+  PoissonStream stream =
+      poisson_load_stream(n, machines, utilization, dist, rng);
+  return materialize(stream);
 }
 
 Instance bursty_stream(std::size_t bursts, std::size_t per_burst, double gap,

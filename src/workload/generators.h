@@ -64,7 +64,8 @@ namespace detail {
 [[nodiscard]] Instance poisson_stream(std::size_t n, double lambda,
                                       const SizeDist& dist, Rng& rng);
 /// Poisson stream calibrated so that utilization lambda*E[size]/machines
-/// equals `utilization` (must be in (0, 1.5]; > 1 deliberately overloads).
+/// equals `utilization` (must be in (0, 1.5]; > 1 deliberately overloads):
+/// materialize() over poisson_load_stream(), whose checks it throws.
 [[nodiscard]] Instance poisson_load(std::size_t n, int machines,
                                     double utilization, const SizeDist& dist,
                                     Rng& rng);

@@ -45,8 +45,9 @@ class PoissonStream final : public JobStream {
   Time clock_ = 0.0;
 };
 
-/// PoissonStream calibrated like detail::poisson_load(): lambda chosen so
-/// that utilization lambda*E[size]/machines equals `utilization` in (0, 1.5].
+/// PoissonStream with lambda chosen so that utilization
+/// lambda*E[size]/machines equals `utilization` in (0, 1.5]; the one
+/// calibration detail::poisson_load() materializes.
 [[nodiscard]] PoissonStream poisson_load_stream(std::size_t n, int machines,
                                                 double utilization,
                                                 const SizeDist& dist, Rng& rng);

@@ -262,6 +262,127 @@ TEST(FlowStats, PercentilesMatchSortReference) {
   check_all_shapes(100'000);
 }
 
+// --- flow_stats against the algorithm it replaced --------------------------
+
+/// std::pow with an exponent the compiler cannot see: with a literal 2.0
+/// GCC folds std::pow(x, 2.0) into x * x, which is not what pow returns.
+double runtime_pow(double v, double k) {
+  volatile double exponent = k;
+  return std::pow(v, exponent);
+}
+
+/// flow_stats as it was computed before the fused pass and radix select:
+/// lk_norm through std::pow, linf_norm, then the nth_element chain.
+FlowStats reference_flow_stats(std::vector<double> flows) {
+  FlowStats s;
+  s.n = flows.size();
+  if (flows.empty()) return s;
+  double sum = 0.0, sq = 0.0;
+  for (double f : flows) {
+    sum += f;
+    sq += f * f;
+  }
+  const auto norm = [&](double k) {
+    double vmax = 0.0;
+    for (double v : flows) {
+      if (v < 0.0) throw std::invalid_argument("lk_norm: negative value");
+      vmax = std::max(vmax, v);
+    }
+    if (vmax <= 0.0) return 0.0;
+    double acc = 0.0;
+    for (double v : flows) acc += runtime_pow(v / vmax, k);
+    return vmax * runtime_pow(acc, 1.0 / k);
+  };
+  s.l1 = sum;
+  s.l2 = norm(2.0);
+  s.l3 = norm(3.0);
+  s.linf = 0.0;
+  for (double v : flows) s.linf = std::max(s.linf, v);
+  s.mean = sum / static_cast<double>(s.n);
+  s.variance = std::max(0.0, sq / static_cast<double>(s.n) - s.mean * s.mean);
+  s.stddev = std::sqrt(s.variance);
+  std::size_t from = 0;
+  const auto select = [&](double p) {
+    const double pos = (p / 100.0) * static_cast<double>(flows.size() - 1);
+    const auto lo_rank = static_cast<std::size_t>(std::floor(pos));
+    const auto hi_rank = static_cast<std::size_t>(std::ceil(pos));
+    const auto lo = flows.begin() + static_cast<std::ptrdiff_t>(lo_rank);
+    std::nth_element(flows.begin() + static_cast<std::ptrdiff_t>(from), lo,
+                     flows.end());
+    from = lo_rank;
+    const double v_hi =
+        hi_rank == lo_rank ? *lo : *std::min_element(lo + 1, flows.end());
+    const double frac = pos - static_cast<double>(lo_rank);
+    return *lo * (1.0 - frac) + v_hi * frac;
+  };
+  s.p50 = select(50.0);
+  s.p95 = select(95.0);
+  s.p99 = select(99.0);
+  return s;
+}
+
+void expect_flow_stats_match_reference(const std::vector<double>& v,
+                                       const std::string& shape) {
+  SCOPED_TRACE(shape + " n=" + std::to_string(v.size()));
+  const FlowStats got = flow_stats(v);
+  const FlowStats want = reference_flow_stats(v);
+  EXPECT_EQ(got.n, want.n);
+  const std::pair<const char*, std::pair<double, double>> fields[] = {
+      {"l1", {got.l1, want.l1}},
+      {"l2", {got.l2, want.l2}},
+      {"l3", {got.l3, want.l3}},
+      {"linf", {got.linf, want.linf}},
+      {"mean", {got.mean, want.mean}},
+      {"variance", {got.variance, want.variance}},
+      {"stddev", {got.stddev, want.stddev}},
+      {"p50", {got.p50, want.p50}},
+      {"p95", {got.p95, want.p95}},
+      {"p99", {got.p99, want.p99}}};
+  for (const auto& [name, values] : fields) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(values.first),
+              std::bit_cast<std::uint64_t>(values.second))
+        << name << ": " << values.first << " vs " << values.second;
+  }
+}
+
+TEST(FlowStats, MatchesReferenceBitwise) {
+  // The sizes straddle the radix-select cutoff (4096 values); -0.0 and NaN
+  // take the nth_element chain at every size.
+  std::mt19937_64 rng(20261020);
+  std::exponential_distribution<double> flow(0.7);
+  std::uniform_real_distribution<double> exponent(-40.0, 40.0);
+  std::uniform_int_distribution<int> few(0, 4);
+  for (const std::size_t n : {0, 1, 2, 3, 4095, 4096, 50'000}) {
+    std::vector<double> distinct(n), wide(n), ties(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      distinct[i] = flow(rng);
+      wide[i] = std::exp2(exponent(rng));  // forty binades either side of 1
+      ties[i] = 0.25 * few(rng);
+    }
+    expect_flow_stats_match_reference(distinct, "distinct");
+    expect_flow_stats_match_reference(wide, "wide");
+    expect_flow_stats_match_reference(ties, "ties");
+    expect_flow_stats_match_reference(std::vector<double>(n, 3.75), "equal");
+    if (n == 0) continue;
+    std::vector<double> mostly_equal(n, 1.5);
+    mostly_equal[n / 2] = 2.0;
+    mostly_equal[n - 1] = 0.0;
+    expect_flow_stats_match_reference(mostly_equal, "mostly equal");
+    std::vector<double> with_inf = distinct;
+    with_inf[n / 3] = kInf;
+    expect_flow_stats_match_reference(with_inf, "with inf");
+    std::vector<double> neg_zero = distinct;
+    neg_zero[n / 2] = -0.0;
+    expect_flow_stats_match_reference(neg_zero, "with -0.0");
+    std::vector<double> nan = ties;
+    nan[n - 1] = std::numeric_limits<double>::quiet_NaN();
+    expect_flow_stats_match_reference(nan, "with NaN");
+  }
+  std::vector<double> negative(5000, 1.0);
+  negative[4000] = -1.0;
+  EXPECT_THROW((void)flow_stats(negative), std::invalid_argument);
+}
+
 TEST(LinfNorm, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(linf_norm(std::vector<double>{}), 0.0);
 }
